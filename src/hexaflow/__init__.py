@@ -34,7 +34,16 @@ from .diagnostics import (
     small_energy_margin,
     winding_number,
 )
-from .flow import FlowConfig, FlowState, StepRejected, normal_speed, run_flow, select_dt, step
+from .flow import (
+    FlowConfig,
+    FlowState,
+    StepRejected,
+    normal_speed,
+    run_ensemble,
+    run_flow,
+    select_dt,
+    step,
+)
 from .verify import (
     CheckReport,
     check_boundary_hierarchy,
@@ -77,6 +86,7 @@ __all__ = [
     "FlowState",
     "StepRejected",
     "normal_speed",
+    "run_ensemble",
     "run_flow",
     "select_dt",
     "step",

@@ -2,7 +2,9 @@
 
 Subcommands: `run` simulates and writes diagnostics, `verify` additionally
 runs every verification check, `psw` samples the Poincare-type inequalities
-standalone, and `sweep` runs a grid of configurations.
+standalone, and `sweep` runs a grid of configurations: it validates every
+cell first, then steps the cells that share a flow configuration (in
+practice, the same n) together as one ensemble.
 
 Configuration documents are YAML key-value files.  Keys and defaults:
 
@@ -39,7 +41,7 @@ import yaml
 
 from .curve import DiscreteCurve, compute_geometry, integrate, resample_uniform
 from .diagnostics import C0_PI3, Trajectory, small_energy_margin
-from .flow import FlowConfig, run_flow
+from .flow import FlowConfig, run_ensemble, run_flow
 from .verify import (
     CheckReport,
     check_boundary_hierarchy,
@@ -387,13 +389,17 @@ def _run_one(echo: dict, config: FlowConfig, spec: InitialSpec,
     trajectory = run_flow(config, initial, extra_metadata={"config": echo})
     emit(trajectory, reports, out_dir)
     if not quiet:
-        meta = trajectory.metadata
-        final = trajectory.snapshots[-1].record
-        print(f"run finished: termination={meta['termination']} steps={meta['steps']} "
-              f"t={meta['final_time']:.6g} snapshots={len(trajectory.snapshots)}")
-        print(f"final: L={final.length:.9g} energy={final.energy:.6g} "
-              f"k_inf={final.k_inf:.6g} omega={final.omega:.3g}")
+        _print_summary(trajectory)
     return trajectory
+
+
+def _print_summary(trajectory: Trajectory) -> None:
+    meta = trajectory.metadata
+    final = trajectory.snapshots[-1].record
+    print(f"run finished: termination={meta['termination']} steps={meta['steps']} "
+          f"t={meta['final_time']:.6g} snapshots={len(trajectory.snapshots)}")
+    print(f"final: L={final.length:.9g} energy={final.energy:.6g} "
+          f"k_inf={final.k_inf:.6g} omega={final.omega:.3g}")
 
 
 def _print_reports(reports: list[CheckReport], quiet: bool) -> bool:
@@ -460,24 +466,53 @@ def _cmd_psw(args) -> int:
     return 0 if _print_reports(reports, args.quiet) else 1
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_plan(args) -> list[tuple[str, FlowConfig, InitialSpec, dict]]:
+    """Every cell of a sweep document, parsed and validated before any runs."""
     try:
         doc = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"configuration is not valid YAML: {exc}") from exc
-    failures = 0
+    plan = []
+    names = set()
     for name, cell in sweep_cells(doc or {}):
+        if name in names:
+            raise ConfigError(f"sweep cell {name!r} appears twice in the grid")
+        names.add(name)
         config, spec, echo = _config_from_dict(cell)
         if args.snapshot_every is not None:
             config = replace(config, snapshot_every=args.snapshot_every)
             echo = {**echo, "snapshot_every": args.snapshot_every}
-        cell_dir = Path(args.out) / name
-        trajectory = _run_one(echo, config, spec, cell_dir, args.quiet)
-        status = trajectory.metadata["termination"]
-        if status == "dt_underflow":
-            failures += 1
+        plan.append((name, config, spec, echo))
+    return plan
+
+
+def _cmd_sweep(args) -> int:
+    plan = _sweep_plan(args)
+    initials = [generate_initial(spec) for _, _, spec, _ in plan]
+    # cells that share a FlowConfig (in practice: share n) step as one ensemble
+    groups: dict[FlowConfig, list[int]] = {}
+    for index, (_, config, _, _) in enumerate(plan):
+        groups.setdefault(config, []).append(index)
+    failures = 0
+    for config, members in groups.items():
         if not args.quiet:
-            print(f"cell {name}: termination={status} -> {cell_dir}")
+            for index in members:
+                print(f"cell {plan[index][0]}: {_margin_summary(initials[index])}")
+        extras = [{"config": plan[index][3]} for index in members]
+        if len(members) == 1:
+            trajectories = [run_flow(config, initials[members[0]], extra_metadata=extras[0])]
+        else:
+            trajectories = run_ensemble(config, [initials[i] for i in members], extras)
+        for index, trajectory in zip(members, trajectories):
+            name = plan[index][0]
+            cell_dir = Path(args.out) / name
+            emit(trajectory, None, cell_dir)
+            status = trajectory.metadata["termination"]
+            if status == "dt_underflow":
+                failures += 1
+            if not args.quiet:
+                _print_summary(trajectory)
+                print(f"cell {name}: termination={status} -> {cell_dir}")
     return 1 if failures else 0
 
 

@@ -8,7 +8,7 @@ odd-order derivative conditions at the boundary hold by stencil symmetry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +16,8 @@ import numpy as np
 GHOSTS = 3  # widest stencil is the 7-point fifth derivative: 3 ghosts per side
 
 TWO_PI = 2.0 * np.pi
+
+SPACING_TOL = 0.01  # default relative deviation from uniform spacing the stencils accept
 
 # one-sided estimates of f', f''', f''''' at s=0 from samples at h..(m+2)h,
 # second-order accurate; used for boundary residuals where the mirrored
@@ -161,7 +163,7 @@ def mirror_extend(curve: DiscreteCurve, ghosts: int = GHOSTS) -> np.ndarray:
     return np.concatenate([left, pts, right])
 
 
-def compute_geometry(curve: DiscreteCurve, spacing_tol: float = 0.01) -> GeometryProfile:
+def compute_geometry(curve: DiscreteCurve, spacing_tol: float = SPACING_TOL) -> GeometryProfile:
     """Curvature and derivatives of a near-uniformly sampled curve.
 
     Chord angles are extended across each endpoint by the exact reflection
@@ -236,6 +238,97 @@ def compute_geometry(curve: DiscreteCurve, spacing_tol: float = 0.01) -> Geometr
         s=s, ds=ds, h=h, phi=phi, theta=theta, k=k, k_derivs=k_derivs,
         length=float(s[-1]), branch_left=m_left, branch_right=m_right,
     )
+
+
+@dataclass(frozen=True)
+class GeometryStack:
+    """The stepper's geometry of B curves with n+1 nodes each, one row per curve.
+
+    Rows hold what `compute_geometry` returns for that curve, bit for bit,
+    limited to the fields the normal speed and the step need.  A row whose
+    curve that function would reject has `valid` False and meaningless values.
+    """
+
+    valid: np.ndarray           # (B,) the curve passed every validity check
+    h: np.ndarray               # (B,) mean spacing
+    theta: np.ndarray           # (B, n+1) node tangent angles
+    k: np.ndarray               # (B, n+1) curvature
+    k_s: np.ndarray             # (B, n+1) first arc-length derivative of k
+    k_ss: np.ndarray            # (B, n+1) second
+    k_s4: np.ndarray            # (B, n+1) fourth
+
+    def take(self, index) -> GeometryStack:
+        """The rows selected by an index array or boolean mask."""
+        return GeometryStack(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def put(self, index, rows: GeometryStack) -> None:
+        """Overwrite the selected rows with those of another stack."""
+        for f in fields(self):
+            getattr(self, f.name)[index] = getattr(rows, f.name)
+
+
+def _segment_stack(points: np.ndarray):
+    """`_segment_data` and `_unwrap_angles` turns of every row of a (B, n+1, 2) stack.
+
+    Returns the node coordinates x, y as contiguous (B, n+1) arrays, segment
+    lengths, raw chord angles, wrapped turns, and a (B,) mask that is False
+    for rows with non-finite nodes or a degenerate segment.
+    """
+    x = np.ascontiguousarray(points[..., 0])
+    y = np.ascontiguousarray(points[..., 1])
+    dx = x[:, 1:] - x[:, :-1]
+    dy = y[:, 1:] - y[:, :-1]
+    ds = np.hypot(dx, dy)
+    raw = np.arctan2(dy, dx)
+    turns = raw[:, 1:] - raw[:, :-1]
+    turns = (turns + np.pi) % TWO_PI - np.pi
+    valid = np.isfinite(points).all(axis=(1, 2)) & (ds > 0.0).all(axis=1)
+    return x, y, ds, raw, turns, valid
+
+
+def compute_geometry_stack(points: np.ndarray) -> GeometryStack:
+    """`compute_geometry` of every curve in a (B, n+1, 2) stack at once.
+
+    The same arithmetic runs along the batch axis, so each row equals the
+    single-curve result exactly and no row depends on another.  Instead of
+    raising, a row fails `valid` when its nodes are non-finite, a segment is
+    degenerate, spacing is off by more than SPACING_TOL, or the tangent
+    angle jumps by more than pi/2.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        _, _, ds, raw, turns, valid = _segment_stack(points)
+        h = ds.mean(axis=1)
+        dev = np.abs(ds - h[:, None]).max(axis=1)
+        valid &= dev <= SPACING_TOL * h
+
+        phi_e = np.empty((raw.shape[0], raw.shape[1] + 2))
+        phi = phi_e[:, 1:-1]
+        phi[:, 0] = raw[:, 0]
+        turns.cumsum(axis=1, out=phi[:, 1:])
+        phi[:, 1:] += raw[:, :1]
+        phi_e[:, 0] = TWO_PI * np.round(phi[:, 0] / np.pi) - phi[:, 0]
+        phi_e[:, -1] = TWO_PI * np.round(phi[:, -1] / np.pi) - phi[:, -1]
+        worst = np.maximum(np.abs(turns).max(axis=1, initial=0.0),
+                           np.maximum(np.abs(phi[:, 0] - phi_e[:, 0]),
+                                      np.abs(phi[:, -1] - phi_e[:, -1])))
+        valid &= worst <= 0.5 * np.pi
+
+        ds_e = np.empty_like(phi_e)
+        ds_e[:, 0] = ds[:, 0]
+        ds_e[:, 1:-1] = ds
+        ds_e[:, -1] = ds[:, -1]
+        w = 0.5 * (ds_e[:, :-1] + ds_e[:, 1:])
+        k = (phi_e[:, 1:] - phi_e[:, :-1]) / w
+        theta = 0.5 * (phi_e[:, :-1] + phi_e[:, 1:])
+
+        k_e = np.concatenate([k[:, GHOSTS:0:-1], k, k[:, -2:-2 - GHOSTS:-1]], axis=1)
+        hc = h[:, None]
+        h2 = hc * hc
+        k_s = (k_e[:, 4:-2] - k_e[:, 2:-4]) / (2.0 * hc)
+        k_ss = (k_e[:, 4:-2] - 2.0 * k_e[:, 3:-3] + k_e[:, 2:-4]) / h2
+        k_s4 = (k_e[:, 5:-1] - 4.0 * k_e[:, 4:-2] + 6.0 * k_e[:, 3:-3]
+                - 4.0 * k_e[:, 2:-4] + k_e[:, 1:-5]) / (h2 * h2)
+    return GeometryStack(valid, h, theta, k, k_s, k_ss, k_s4)
 
 
 def integrate(values: np.ndarray, profile: GeometryProfile) -> float:
@@ -375,3 +468,78 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     out[0, 0] = curve.line_left
     out[-1, 0] = curve.line_right
     return DiscreteCurve(out, curve.line_left, curve.line_right)
+
+
+def _search_sorted_rows(table: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
+    """`np.searchsorted(table[b], queries[b], side)` for every row b at once.
+
+    Both arrays must be sorted along their rows.  One stable merge sort of
+    each row of [table, queries] (queries first for side="left", so they
+    precede equal table entries) places query j after j other queries,
+    so its merged position minus j counts the table entries before it.
+    """
+    rows, size = queries.shape
+    width = size + table.shape[1]
+    if side == "left":
+        order = np.argsort(np.concatenate([queries, table], axis=1), axis=1, kind="stable")
+        is_query = order < size
+    else:
+        order = np.argsort(np.concatenate([table, queries], axis=1), axis=1, kind="stable")
+        is_query = order >= table.shape[1]
+    merged_at = np.flatnonzero(is_query).reshape(rows, size)
+    return merged_at - (np.arange(rows)[:, None] * width + np.arange(size))
+
+
+def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
+                           line_right: float) -> tuple[np.ndarray, np.ndarray]:
+    """`resample_uniform` of every curve in a (B, n+1, 2) stack at once.
+
+    Returns the (B, m+1, 2) resampled nodes, each row equal to the
+    single-curve result exactly (the interpolation below repeats the
+    arithmetic of `np.interp`), and a (B,) mask that is False where that
+    function would reject the curve: non-finite nodes or a degenerate
+    segment, before or after resampling.
+    """
+    if m < 16:
+        raise ValueError(f"resample target must satisfy m >= 16, got {m}")
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x, y, ds, _, turns, valid = _segment_stack(points)
+        psi = np.empty_like(ds)
+        psi[:, 1:-1] = 0.5 * (turns[:, :-1] + turns[:, 1:])
+        psi[:, 0] = turns[:, 0]
+        psi[:, -1] = turns[:, -1]
+        arc = ds * (1.0 + psi * psi / 24.0)
+        s = np.zeros(points.shape[:2])
+        arc.cumsum(axis=1, out=s[:, 1:])
+        t = np.zeros_like(s)
+        ds.cumsum(axis=1, out=t[:, 1:])
+
+        # flat indices of node j of row b are offset[b] + j
+        N = ds.shape[1]
+        offset = np.arange(points.shape[0])[:, None] * (N + 1)
+        s_flat, t_flat = s.ravel(), t.ravel()
+
+        targets = _fractions(m) * s[:, -1:]
+        j = (_search_sorted_rows(s, targets, "right") - 1).clip(0, N - 1) + offset
+        slope = (t_flat[j + 1] - t_flat[j]) / (s_flat[j + 1] - s_flat[j])
+        tau = slope * (targets - s_flat[j]) + t_flat[j]
+        tau[:, -1] = t[:, -1]
+
+        seg = _search_sorted_rows(t, tau, "left")
+        b = (seg - 2).clip(0, N - 3) + offset
+        t0, t1, t2, t3 = t_flat[b], t_flat[b + 1], t_flat[b + 2], t_flat[b + 3]
+        d0, d1, d2, d3 = tau - t0, tau - t1, tau - t2, tau - t3
+        w0 = d1 * d2 * d3 / ((t0 - t1) * (t0 - t2) * (t0 - t3))
+        w1 = d0 * d2 * d3 / ((t1 - t0) * (t1 - t2) * (t1 - t3))
+        w2 = d0 * d1 * d3 / ((t2 - t0) * (t2 - t1) * (t2 - t3))
+        w3 = d0 * d1 * d2 / ((t3 - t0) * (t3 - t1) * (t3 - t2))
+        out = np.empty((points.shape[0], m + 1, 2))
+        for axis, coord in enumerate((x.ravel(), y.ravel())):
+            out[..., axis] = (w0 * coord[b] + w1 * coord[b + 1]
+                              + w2 * coord[b + 2] + w3 * coord[b + 3])
+        out[:, 0] = points[:, 0]
+        out[:, -1] = points[:, -1]
+        out[:, 0, 0] = line_left
+        out[:, -1, 0] = line_right
+        valid &= np.isfinite(out).all(axis=(1, 2))
+    return out, valid

@@ -5,11 +5,20 @@ step treats the stiff leading term implicitly through the sixth arc-length
 difference of position (an explicit method would need dt of order h^6),
 solves one septa-diagonal system per coordinate, re-pins the endpoints and
 resamples to uniform spacing.
+
+Two run loops share that scheme.  `run_flow` steps one curve and solves the
+two banded systems with `solve_banded`.  `run_ensemble` steps a stack of
+curves that share one configuration in lockstep: geometry and resampling run
+along the batch axis, and both mirror-folded systems, which are circulant on
+the 2n-periodic mirror extension, are solved for every curve by one real FFT
+pair.  Each curve of an ensemble keeps its own step size, clock, rejections,
+snapshots and termination.
 """
 from __future__ import annotations
 
 import time as _time
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -18,8 +27,11 @@ from scipy.linalg import solve_banded
 from .curve import (
     DiscreteCurve,
     GeometryProfile,
+    GeometryStack,
     compute_geometry,
+    compute_geometry_stack,
     resample_uniform,
+    resample_uniform_stack,
 )
 from .diagnostics import Snapshot, Trajectory, make_record, winding_number
 
@@ -120,6 +132,33 @@ def _implicit_matrix(n: int, fold_sign: float, pin: bool, lam: float) -> np.ndar
     return ab
 
 
+@lru_cache(maxsize=16)
+def _mirror_symbol(n: int) -> np.ndarray:
+    """(2 - 2 cos theta)^3 at the frequencies theta = pi j / n, j = 0..n, of period 2n."""
+    c = (2.0 - 2.0 * np.cos(np.pi * np.arange(n + 1) / n)) ** 3
+    c.setflags(write=False)
+    return c
+
+
+def _solve_mirror(rhs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Solve I - lam_b * (folded sixth difference) for a (B, 2, n+1) stack.
+
+    Row 0 of each member is the x system (odd fold, pinned ends: its end
+    values must be zero), row 1 the y system (even fold), as in `step`.
+    Either fold makes the system the restriction of a circulant on the
+    2n-periodic mirror extension with symbol 1 + lam (2 - 2 cos theta)^3, so
+    one real FFT pair solves every member, each with its own lam.
+    """
+    n = rhs.shape[-1] - 1
+    ext = np.empty(rhs.shape[:-1] + (2 * n,))
+    ext[..., :n + 1] = rhs
+    ext[:, 0, n + 1:] = -rhs[:, 0, n - 1:0:-1]
+    ext[:, 1, n + 1:] = rhs[:, 1, n - 1:0:-1]
+    spectrum = np.fft.rfft(ext, axis=-1)
+    spectrum /= 1.0 + lam[:, None, None] * _mirror_symbol(n)
+    return np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n + 1]
+
+
 def select_dt(state: FlowState, config: FlowConfig) -> float:
     """Step size dt_safety * h^2, capped so the run cannot overshoot t_end.
 
@@ -182,17 +221,34 @@ def step(state: FlowState, dt: float) -> FlowState:
     )
 
 
-def run_flow(config: FlowConfig, initial: DiscreteCurve,
-             extra_metadata: dict | None = None) -> Trajectory:
-    """Run the flow from an initial curve until a termination condition.
+def _step_stack(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray,
+                line_left: float, line_right: float) -> tuple[np.ndarray, GeometryStack]:
+    """`step` for every curve of a (B, n+1, 2) stack, member b with step dt[b].
 
-    Records a snapshot with a full diagnostics record at the start, every
-    snapshot_every-th step and at the final step.  Terminates on the time
-    horizon, the step cap, or the curvature dropping below stop_knorm
-    (0 disables that test).  Rejected steps retry with halved dt; more than
-    40 halvings abort the run with the partial trajectory and reason
-    "dt_underflow".
+    Solves both coordinate systems of all members with `_solve_mirror`, then
+    re-pins, resamples and measures the moved curves along the batch axis.
+    Returns the new nodes and their geometry; a member whose moved curve
+    `step` would reject has `valid` False.
     """
+    k = geometry.k
+    speed = geometry.k_s4 + k * k * geometry.k_ss - 0.5 * k * geometry.k_s * geometry.k_s
+    dtc = dt[:, None]
+    rhs = np.empty((points.shape[0], 2, points.shape[1]))
+    rhs[:, 0] = (-dtc) * speed * np.sin(geometry.theta)
+    rhs[:, 1] = dtc * speed * np.cos(geometry.theta)
+    rhs[:, 0, 0] = 0.0
+    rhs[:, 0, -1] = 0.0
+    moved = points + _solve_mirror(rhs, dt / geometry.h ** 6).transpose(0, 2, 1)
+    moved[:, 0, 0] = line_left
+    moved[:, -1, 0] = line_right
+    resampled, valid = resample_uniform_stack(moved, points.shape[1] - 1,
+                                              line_left, line_right)
+    new_geometry = compute_geometry_stack(resampled)
+    return resampled, replace(new_geometry, valid=new_geometry.valid & valid)
+
+
+def _initial_state(config: FlowConfig, initial: DiscreteCurve) -> FlowState:
+    """Start of a run: the initial curve at the config's resolution, checked."""
     if (initial.line_left != config.line_left
             or initial.line_right != config.line_right):
         raise ValueError("initial curve and config disagree on the boundary lines")
@@ -204,14 +260,34 @@ def run_flow(config: FlowConfig, initial: DiscreteCurve,
             f"initial winding number {omega0:.3f} is not 0; the straightening "
             "regime requires zero total turning"
         )
+    return state
+
+
+def _snapshot(time: float, curve: DiscreteCurve, profile: GeometryProfile,
+              length_ref: float) -> Snapshot:
+    rec = make_record(time, profile, normal_speed(profile), length_ref)
+    return Snapshot(time, curve, rec)
+
+
+def run_flow(config: FlowConfig, initial: DiscreteCurve,
+             extra_metadata: dict | None = None) -> Trajectory:
+    """Run the flow from an initial curve until a termination condition.
+
+    Records a snapshot with a full diagnostics record at the start, every
+    snapshot_every-th step and at the final step.  Terminates on the time
+    horizon, the step cap, or the curvature dropping below stop_knorm
+    (0 disables that test).  Rejected steps retry with halved dt; more than
+    40 halvings abort the run with the partial trajectory and reason
+    "dt_underflow".
+    """
+    state = _initial_state(config, initial)
     length_ref = state.profile.length
     wall_start = _time.perf_counter()
 
     snaps: list[Snapshot] = []
 
     def record(st: FlowState) -> None:
-        rec = make_record(st.time, st.profile, normal_speed(st.profile), length_ref)
-        snaps.append(Snapshot(st.time, st.curve, rec))
+        snaps.append(_snapshot(st.time, st.curve, st.profile, length_ref))
 
     record(state)
     rejections = 0
@@ -259,3 +335,106 @@ def run_flow(config: FlowConfig, initial: DiscreteCurve,
     if extra_metadata:
         metadata.update(extra_metadata)
     return Trajectory(tuple(snaps), metadata)
+
+
+def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
+                 extra_metadata: Sequence[dict | None] | None = None) -> list[Trajectory]:
+    """Run the flow from several initial curves in lockstep; one trajectory each.
+
+    Every member keeps the rules of `run_flow`: its own dt = dt_safety * h^2,
+    clock, snapshot cadence and termination, and a rejected step retries
+    with halved dt for that member alone, down to the same "dt_underflow"
+    abort that keeps its partial trajectory.  Steps use `_step_stack`, whose
+    FFT solve differs from the banded one only by rounding; no member's
+    result depends on its batch-mates.  Snapshot records come from
+    `compute_geometry` and `make_record`, as in `run_flow`.
+    `extra_metadata` holds one dict (or None) per member; `wall_time` is
+    that of the whole ensemble.
+    """
+    states = [_initial_state(config, initial) for initial in initials]
+    if not states:
+        raise ValueError("an ensemble needs at least one initial curve")
+    extras = list(extra_metadata) if extra_metadata is not None else [None] * len(states)
+    if len(extras) != len(states):
+        raise ValueError(f"{len(extras)} metadata entries for {len(states)} curves")
+    wall_start = _time.perf_counter()
+    lines = (config.line_left, config.line_right)
+    points = np.stack([st.curve.points for st in states])
+    geometry = compute_geometry_stack(points)
+    times = np.zeros(len(states))
+    rejections = np.zeros(len(states), dtype=int)
+    length_refs = [st.profile.length for st in states]
+    snaps = [[_snapshot(st.time, st.curve, st.profile, ref)]
+             for st, ref in zip(states, length_refs)]
+    endings: list[tuple[str, int] | None] = [None] * len(states)
+
+    def record(b: int) -> None:
+        curve = DiscreteCurve(points[b], *lines)
+        snaps[b].append(_snapshot(float(times[b]), curve, compute_geometry(curve),
+                                  length_refs[b]))
+
+    def finish(members: np.ndarray, termination: str) -> None:
+        for b in members:
+            endings[b] = (termination, steps)
+            if snaps[b][-1].time < times[b]:
+                record(b)
+
+    active = np.arange(len(states))
+    steps = 0
+    t_slack = 1e-12 * config.t_end
+    while True:
+        if config.stop_knorm > 0.0:
+            k_inf = np.abs(geometry.k[active]).max(axis=1)
+            finish(active[k_inf < config.stop_knorm], "stop_knorm")
+            active = active[k_inf >= config.stop_knorm]
+        reached = times[active] >= config.t_end - t_slack
+        finish(active[reached], "t_end")
+        active = active[~reached]
+        if steps >= config.max_steps:
+            finish(active, "max_steps")
+            break
+        if not active.size:
+            break
+        h2 = geometry.h[active] ** 2
+        dt = np.minimum(config.dt_safety * h2, config.t_end - times[active])
+        dt_floor = DT_FLOOR_FACTOR * h2
+        accepted = np.zeros(active.size, dtype=bool)
+        todo = np.arange(active.size)
+        for _ in range(MAX_HALVINGS + 1):
+            members = active[todo]
+            new_points, new_geometry = _step_stack(points[members], geometry.take(members),
+                                                   dt[todo], *lines)
+            ok = new_geometry.valid
+            moved = members[ok]
+            points[moved] = new_points[ok]
+            geometry.put(moved, new_geometry.take(ok))
+            times[moved] += dt[todo[ok]]
+            accepted[todo[ok]] = True
+            rejections[members[~ok]] += 1
+            todo = todo[~ok]
+            dt[todo] *= 0.5
+            todo = todo[dt[todo] >= dt_floor[todo]]
+            if not todo.size:
+                break
+        finish(active[~accepted], "dt_underflow")
+        active = active[accepted]
+        steps += 1
+        if steps % config.snapshot_every == 0:
+            for b in active:
+                record(b)
+
+    wall_time = _time.perf_counter() - wall_start
+    trajectories = []
+    for b, (termination, member_steps) in enumerate(endings):
+        metadata = {
+            "config": asdict(config),
+            "termination": termination,
+            "steps": member_steps,
+            "final_time": float(times[b]),
+            "rejections": int(rejections[b]),
+            "wall_time": wall_time,
+        }
+        if extras[b]:
+            metadata.update(extras[b])
+        trajectories.append(Trajectory(tuple(snaps[b]), metadata))
+    return trajectories

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,75 @@ class TestMainEntry:
                      "--quiet"]) == 0
         for name in ("A0.05_m1_n32", "A0.05_m1_n48"):
             assert (out / name / "diagnostics.csv").exists()
+
+    def test_sweep_matches_serial_cells(self, tmp_path):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("n: 32\nA: [0.02, 0.05]\nt_end: 0.002\ninit: cosine-graph\n"
+                        "snapshot_every: 10\n")
+        out = tmp_path / "cells"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        for amplitude in ("0.02", "0.05"):
+            single = tmp_path / "single.yaml"
+            single.write_text(f"n: 32\nA: {amplitude}\nt_end: 0.002\n"
+                              "init: cosine-graph\nsnapshot_every: 10\n")
+            alone = tmp_path / f"alone{amplitude}"
+            assert main(["run", "--config", str(single), "--out", str(alone),
+                         "--quiet"]) == 0
+            swept = json.loads((out / f"A{amplitude}_m1_n32" / "snapshots.json").read_text())
+            ran = json.loads((alone / "snapshots.json").read_text())
+            assert swept["meta"]["config"] == ran["meta"]["config"]
+            for key in ("steps", "termination", "rejections"):
+                assert swept["meta"][key] == ran["meta"][key]
+            assert len(swept["frames"]) == len(ran["frames"])
+            for a, b in zip(swept["frames"], ran["frames"]):
+                assert np.abs(np.array(a["points"]) - np.array(b["points"])).max() <= 1e-10
+
+    def test_sweep_rejects_duplicate_cells_before_running(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("n: 32\nA: [0.05, 0.05]\nt_end: 0.002\ninit: cosine-graph\n")
+        out = tmp_path / "cells"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert "A0.05_m1_n32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_validates_every_cell_before_running(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("n: 32\nA: [0.05, 0.02, 1.5]\nt_end: 0.002\ninit: cosine-graph\n")
+        out = tmp_path / "cells"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert "half the line gap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_underflow_exits_1_and_keeps_other_cells(self, tmp_path, monkeypatch):
+        import hexaflow.flow as flow
+
+        real = flow._step_stack
+
+        def reject_large(points, geometry, dt, *lines):
+            new_points, new_geometry = real(points, geometry, dt, *lines)
+            new_geometry.valid[np.abs(points[:, :, 1]).max(axis=1) > 0.065] = False
+            return new_points, new_geometry
+
+        monkeypatch.setattr("hexaflow.flow._step_stack", reject_large)
+        path = tmp_path / "sweep.yaml"
+        path.write_text("n: 32\nA: [0.02, 0.08]\nt_end: 0.002\ninit: cosine-graph\n")
+        out = tmp_path / "cells"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        terminations = {
+            name: json.loads((out / name / "snapshots.json").read_text())["meta"]["termination"]
+            for name in ("A0.02_m1_n32", "A0.08_m1_n32")
+        }
+        assert terminations == {"A0.02_m1_n32": "t_end", "A0.08_m1_n32": "dt_underflow"}
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "hexaflow", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: hexaflow" in proc.stdout
+        assert proc.stderr == ""
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -24,7 +24,13 @@ from hexaflow import (
     mirror_extend,
     resample_uniform,
 )
-from hexaflow.curve import _lagrange_velocity, _segment_data
+from hexaflow.curve import (
+    _lagrange_velocity,
+    _search_sorted_rows,
+    _segment_data,
+    compute_geometry_stack,
+    resample_uniform_stack,
+)
 
 from oracles import COSINE_A005_M1
 
@@ -266,6 +272,101 @@ class TestResample:
     def test_rejects_tiny_target(self, cosine_curve):
         with pytest.raises(ValueError):
             resample_uniform(cosine_curve, 8)
+
+
+def _stack_rows() -> list[np.ndarray]:
+    """Node tables of 33 points: four valid curves, then one per rejection kind."""
+    x = np.linspace(-1.0, 1.0, 33)
+    h = x[1] - x[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the m = 2, 3 margins are negative
+        rows = [_cosine(32, a, m).points.copy() for a, m in ((0.02, 1), (0.05, 2), (0.1, 3))]
+    rows.append(np.column_stack([x, np.zeros(33)]))
+    degenerate = np.column_stack([x, np.zeros(33)])
+    degenerate[6] = degenerate[5]
+    uneven = x.copy()
+    uneven[1:-1:2] += 0.3 * h
+    corner = np.column_stack([x, 0.7 * h * np.where(np.arange(33) % 2 == 0, 1.0, -1.0)])
+    non_finite = _cosine(32).points.copy()
+    non_finite[7, 1] = np.nan
+    rows += [degenerate, np.column_stack([uneven, np.zeros(33)]), corner, non_finite]
+    return rows
+
+
+class TestStackKernels:
+    """The batched kernels against the single-curve functions, row by row."""
+
+    def test_geometry_rows_equal_single_results(self):
+        rows = _stack_rows()
+        stack = compute_geometry_stack(np.stack(rows))
+        for b, pts in enumerate(rows):
+            try:
+                profile = compute_geometry(DiscreteCurve(pts, -1.0, 1.0))
+            except ValueError:
+                assert not stack.valid[b], b
+                continue
+            assert stack.valid[b], b
+            assert stack.h[b] == profile.h
+            assert np.array_equal(stack.theta[b], profile.theta)
+            assert np.array_equal(stack.k[b], profile.k)
+            assert np.array_equal(stack.k_s[b], profile.k_s)
+            assert np.array_equal(stack.k_ss[b], profile.k_ss)
+            assert np.array_equal(stack.k_s4[b], profile.k_s4)
+        assert stack.valid.tolist() == [True] * 4 + [False] * 4
+
+    @pytest.mark.parametrize("m", [32, 48])
+    def test_resample_rows_equal_single_results(self, m):
+        rng = np.random.default_rng(3)
+        rows = _stack_rows()
+        # jitter interior nodes so that resampling has work to do
+        for pts in rows[:3]:
+            pts[1:-1] += 1e-3 * rng.standard_normal(pts[1:-1].shape)
+        out, valid = resample_uniform_stack(np.stack(rows), m, -1.0, 1.0)
+        for b, pts in enumerate(rows):
+            try:
+                single = resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m)
+            except ValueError:
+                assert not valid[b], b
+                continue
+            assert valid[b], b
+            assert np.array_equal(out[b], single.points), b
+
+    @given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["left", "right"]))
+    @settings(max_examples=50, deadline=None)
+    def test_row_search_matches_searchsorted(self, seed, side):
+        # small integers make ties between and within the two arrays common
+        rng = np.random.default_rng(seed)
+        table = np.sort(rng.integers(0, 12, (3, 17)), axis=1).astype(float)
+        queries = np.sort(rng.integers(-1, 13, (3, 9)), axis=1).astype(float)
+        found = _search_sorted_rows(table, queries, side)
+        for b in range(3):
+            assert found[b].tolist() == np.searchsorted(table[b], queries[b], side).tolist()
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(16, 70))
+    @settings(max_examples=25, deadline=None)
+    def test_resample_of_jittered_curves_is_bitwise_single(self, seed, m):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(-1.0, 1.0, 41)
+        rows = []
+        for _ in range(3):
+            y = sum(a * np.cos(0.5 * (j + 1) * math.pi * (x + 1.0))
+                    for j, a in enumerate(rng.uniform(-0.05, 0.05, 3)))
+            pts = np.column_stack([x, y])
+            pts[1:-1] += rng.uniform(-0.2, 0.2, (39, 2)) * (x[1] - x[0])
+            rows.append(pts)
+        out, valid = resample_uniform_stack(np.stack(rows), m, -1.0, 1.0)
+        assert valid.all()
+        for b, pts in enumerate(rows):
+            single = resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m)
+            assert np.array_equal(out[b], single.points)
+
+    def test_take_and_put_rows(self):
+        stack = compute_geometry_stack(np.stack(_stack_rows()[:4]))
+        part = stack.take(np.array([2, 0]))
+        assert np.array_equal(part.k[1], stack.k[0])
+        stack.put(np.array([1]), part.take(np.array([1])))
+        assert np.array_equal(stack.k[1], stack.k[0])
+        assert stack.h[1] == stack.h[0]
 
 
 @given(

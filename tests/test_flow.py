@@ -1,23 +1,37 @@
 """Time stepping: speed law, implicit operator, step control, run loop."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from hexaflow import (
+    DiscreteCurve,
     FlowConfig,
     FlowState,
     GeometryProfile,
+    InitialSpec,
     SpacingError,
     StepRejected,
     compute_geometry,
+    generate_initial,
     integrate,
     normal_speed,
+    resample_uniform,
+    run_ensemble,
     run_flow,
     select_dt,
     step,
 )
-from hexaflow.flow import SIXTH_DIFF, _sixth_difference_template
+import hexaflow.flow as flow
+from hexaflow.flow import (
+    SIXTH_DIFF,
+    _implicit_matrix,
+    _sixth_difference_template,
+    _solve_mirror,
+)
 
 
 def _synthetic_profile(q: float, n: int = 32) -> GeometryProfile:
@@ -275,3 +289,193 @@ class TestRunFlow:
         assert traj.snapshots[-1].time == pytest.approx(
             0.1 * h ** 2 / 4.0, rel=1e-12
         )
+
+
+class TestMirrorSolve:
+    """The FFT solve against `solve_banded` on the folded banded template."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_matches_banded_solve(self, n):
+        h = 2.0 / n
+        lam = 0.1 * h ** -4
+        rng = np.random.default_rng(n)
+        rhs = rng.standard_normal((3, 2, n + 1))
+        rhs[:, 0, [0, n]] = 0.0
+        out = _solve_mirror(rhs, np.full(3, lam))
+        for b in range(3):
+            for row, fold, pin in ((0, -1.0, True), (1, 1.0, False)):
+                expect = solve_banded((3, 3), _implicit_matrix(n, fold, pin, lam),
+                                      rhs[b, row])
+                err = np.abs(out[b, row] - expect).max() / np.abs(expect).max()
+                assert err <= 1e-9, (n, b, row, err)
+            assert abs(out[b, 0, 0]) <= 1e-15
+            assert abs(out[b, 0, n]) <= 1e-15
+
+    def test_each_member_uses_its_own_lambda(self):
+        n = 32
+        rng = np.random.default_rng(5)
+        rhs = rng.standard_normal((2, 2, n + 1))
+        rhs[:, 0, [0, n]] = 0.0
+        lam = np.array([10.0, 1e5])
+        both = _solve_mirror(rhs, lam)
+        for b in range(2):
+            alone = _solve_mirror(rhs[b:b + 1], lam[b:b + 1])
+            assert np.array_equal(both[b], alone[0])
+
+
+def _curve(amplitude: float, mode: int, n: int = 32) -> DiscreteCurve:
+    return generate_initial(
+        InitialSpec(kind="cosine-graph", amplitude=amplitude, mode=mode, n=n)
+    )
+
+
+def _two_mode_curve(n: int = 32) -> DiscreteCurve:
+    """Modes 1 and 2 together, so neither mirror maps the curve onto itself."""
+    x = np.linspace(-1.0, 1.0, 4097)
+    y = 0.04 * np.cos(0.5 * math.pi * (x + 1.0)) + 0.01 * np.cos(math.pi * (x + 1.0))
+    return resample_uniform(DiscreteCurve(np.column_stack([x, y]), -1.0, 1.0), n)
+
+
+def _max_position_gap(a, b) -> float:
+    assert len(a.snapshots) == len(b.snapshots)
+    return max(float(np.abs(sa.curve.points - sb.curve.points).max())
+               for sa, sb in zip(a.snapshots, b.snapshots))
+
+
+ENSEMBLE_CONFIG = FlowConfig(n=32, t_end=0.02, snapshot_every=10)
+
+
+@pytest.fixture(scope="module")
+def ensemble_members():
+    return [_curve(0.02, 1), _curve(0.05, 1), _curve(0.08, 1), _two_mode_curve()]
+
+
+@pytest.fixture(scope="module")
+def ensemble_run(ensemble_members):
+    return run_ensemble(ENSEMBLE_CONFIG, ensemble_members)
+
+
+class TestRunEnsemble:
+    def test_members_match_their_own_run_flow(self, ensemble_members, ensemble_run):
+        for initial, member in zip(ensemble_members, ensemble_run):
+            solo = run_flow(ENSEMBLE_CONFIG, initial)
+            for key in ("steps", "termination", "rejections"):
+                assert member.metadata[key] == solo.metadata[key], key
+            assert len(member.snapshots) == len(solo.snapshots)
+            # dt = dt_safety h^2 follows the nodes, which the FFT and banded
+            # solves place a rounding error apart, so times agree to rounding
+            # accumulated over the steps, not bit for bit
+            assert np.allclose(member.times, solo.times, rtol=1e-12, atol=0.0)
+            assert _max_position_gap(member, solo) <= 1e-10
+
+    def test_member_does_not_depend_on_batch_mates(self, ensemble_members, ensemble_run):
+        for b, initial in enumerate(ensemble_members):
+            (alone,) = run_ensemble(ENSEMBLE_CONFIG, [initial])
+            member = ensemble_run[b]
+            assert len(alone.snapshots) == len(member.snapshots)
+            assert np.allclose(alone.times, member.times, rtol=1e-12, atol=0.0)
+            assert _max_position_gap(alone, member) <= 1e-12
+
+    def test_mirror_equivariance_and_flat_fixed_point(self):
+        base = _two_mode_curve()
+        pts = base.points
+        y_mirror = DiscreteCurve(pts * [1.0, -1.0], -1.0, 1.0)
+        lr_mirror = DiscreteCurve(pts[::-1] * [-1.0, 1.0], -1.0, 1.0)
+        flat = generate_initial(InitialSpec(kind="flat", n=32))
+        config = FlowConfig(n=32, t_end=0.05, snapshot_every=10)
+        first, mirrored_y, mirrored_lr, still = run_ensemble(
+            config, [base, y_mirror, lr_mirror, flat])
+        assert len(first.snapshots) == len(mirrored_y.snapshots) == len(mirrored_lr.snapshots)
+        for a, y, lr in zip(first.snapshots, mirrored_y.snapshots, mirrored_lr.snapshots):
+            p = a.curve.points
+            assert np.abs(p * [1.0, -1.0] - y.curve.points).max() <= 1e-12
+            assert np.abs(p[::-1] * [-1.0, 1.0] - lr.curve.points).max() <= 1e-12
+            assert y.time == pytest.approx(a.time, rel=1e-12)
+            assert lr.time == pytest.approx(a.time, rel=1e-12)
+        assert still.metadata["termination"] == "t_end"
+        for snap in still.snapshots:
+            assert np.array_equal(snap.curve.points, flat.points)
+
+    def test_rejected_member_retries_alone(self, ensemble_members, monkeypatch):
+        real = flow._step_stack
+        left = {"failures": 2}
+
+        def flaky(points, geometry, dt, *lines):
+            new_points, new_geometry = real(points, geometry, dt, *lines)
+            target = np.abs(points[:, :, 1]).max(axis=1) > 0.065   # the A = 0.08 member
+            if left["failures"] and target.any():
+                left["failures"] -= 1
+                new_geometry.valid[target] = False
+            return new_points, new_geometry
+
+        monkeypatch.setattr("hexaflow.flow._step_stack", flaky)
+        config = FlowConfig(n=32, t_end=0.02, snapshot_every=10, max_steps=1)
+        runs = run_ensemble(config, ensemble_members)
+        assert [t.metadata["rejections"] for t in runs] == [0, 0, 2, 0]
+        assert all(t.metadata["termination"] == "max_steps" for t in runs)
+        h = compute_geometry(ensemble_members[2]).h
+        assert runs[2].snapshots[-1].time == pytest.approx(0.1 * h ** 2 / 4.0, rel=1e-12)
+        monkeypatch.undo()
+        unforced = run_ensemble(config, ensemble_members)
+        for b in (0, 1, 3):
+            assert runs[b].snapshots[-1].time == unforced[b].snapshots[-1].time
+            assert _max_position_gap(runs[b], unforced[b]) == 0.0
+
+    def test_underflowing_member_keeps_partial_trajectory(
+        self, ensemble_members, ensemble_run, monkeypatch
+    ):
+        real = flow._step_stack
+        calls = {"count": 0}
+
+        def broken_after_three_steps(points, geometry, dt, *lines):
+            new_points, new_geometry = real(points, geometry, dt, *lines)
+            calls["count"] += 1
+            if calls["count"] > 3:
+                target = np.abs(points[:, :, 1]).max(axis=1) > 0.065
+                new_geometry.valid[target] = False
+            return new_points, new_geometry
+
+        monkeypatch.setattr("hexaflow.flow._step_stack", broken_after_three_steps)
+        runs = run_ensemble(ENSEMBLE_CONFIG, ensemble_members)
+        broken = runs[2]
+        assert broken.metadata["termination"] == "dt_underflow"
+        assert broken.metadata["steps"] == 3
+        assert broken.metadata["rejections"] == 41
+        assert broken.snapshots[0].time == 0.0
+        assert broken.snapshots[-1].time == broken.metadata["final_time"] > 0.0
+        for b in (0, 1, 3):
+            assert runs[b].metadata["termination"] == "t_end"
+            assert _max_position_gap(runs[b], ensemble_run[b]) == 0.0
+
+    def test_terminations_are_per_member(self, ensemble_members):
+        flat = generate_initial(InitialSpec(kind="flat", n=32))
+        config = FlowConfig(n=32, t_end=0.02, snapshot_every=10, stop_knorm=1e-8)
+        moving, stopped = run_ensemble(config, [ensemble_members[1], flat])
+        assert stopped.metadata["termination"] == "stop_knorm"
+        assert stopped.metadata["steps"] == 0
+        assert len(stopped.snapshots) == 1
+        assert moving.metadata["termination"] == "t_end"
+        assert moving.metadata["final_time"] == pytest.approx(0.02, rel=1e-9)
+
+    def test_metadata(self, ensemble_members):
+        config = FlowConfig(n=32, t_end=1e-3, snapshot_every=10)
+        runs = run_ensemble(config, ensemble_members[:2],
+                            [{"config": {"label": "a"}}, None])
+        assert runs[0].metadata["config"] == {"label": "a"}
+        assert runs[1].metadata["config"]["n"] == 32
+        for run in runs:
+            assert run.metadata["termination"] == "t_end"
+            assert run.metadata["rejections"] == 0
+            assert run.metadata["wall_time"] > 0.0
+
+    def test_rejects_bad_input(self, ensemble_members, u_turn_curve):
+        config = FlowConfig(n=32, t_end=1e-3)
+        with pytest.raises(ValueError, match="at least one"):
+            run_ensemble(config, [])
+        with pytest.raises(ValueError, match="metadata"):
+            run_ensemble(config, ensemble_members[:2], [None])
+        with pytest.raises(ValueError, match="line"):
+            run_ensemble(FlowConfig(n=32, t_end=1e-3, line_left=-2.0, line_right=2.0),
+                         ensemble_members[:2])
+        with pytest.raises(ValueError, match="winding"):
+            run_ensemble(FlowConfig(n=512, t_end=1e-3), [u_turn_curve])
