@@ -18,7 +18,6 @@ from .curve import (
     boundary_residuals,
     compute_geometry,
     integrate,
-    mirror_extend,
     resample_uniform,
 )
 from .diagnostics import (
@@ -69,7 +68,6 @@ __all__ = [
     "boundary_residuals",
     "compute_geometry",
     "integrate",
-    "mirror_extend",
     "resample_uniform",
     "C0",
     "C0_PI3",

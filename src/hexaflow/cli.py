@@ -2,9 +2,12 @@
 
 Subcommands: `run` simulates and writes diagnostics, `verify` additionally
 runs every verification check, `psw` samples the Poincare-type inequalities
-standalone, and `sweep` runs a grid of configurations: it validates every
-cell first, then steps the cells that share a flow configuration (in
-practice, the same n) together as one ensemble.
+standalone, and `sweep` runs a grid of configurations.  `run`, `verify` and
+`sweep` share one path: a plan of runs, each checked before any stepping
+(`run` and `verify` plan one run written to --out, `sweep` one per grid cell,
+each in its own subdirectory), all initial curves, then one `run_flow` per
+flow configuration that only one run has and one `run_ensemble` for runs that
+share one (in practice, sweep cells with the same n), and `emit` for each.
 
 Configuration documents are YAML key-value files.  Keys and defaults:
 
@@ -32,7 +35,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 
@@ -105,14 +108,20 @@ def _load_custom_points(spec: InitialSpec) -> np.ndarray:
         data = json.load(fh)
     if isinstance(data, dict) and "frames" in data:
         frames = data["frames"]
+        if not isinstance(frames, list):
+            raise ConfigError(f"{spec.path}: 'frames' must be a list, "
+                              f"got {type(frames).__name__}")
         if not frames:
             raise ConfigError(f"{spec.path}: no frames to ingest")
         try:
-            points = frames[spec.frame]["points"]
+            frame = frames[spec.frame]
         except IndexError:
             raise ConfigError(
                 f"{spec.path}: frame {spec.frame} out of range ({len(frames)} frames)"
             ) from None
+        if not isinstance(frame, dict) or "points" not in frame:
+            raise ConfigError(f"{spec.path}: frame {spec.frame} has no 'points' entry")
+        points = frame["points"]
     elif isinstance(data, dict) and "points" in data:
         points = data["points"]
     else:
@@ -193,16 +202,12 @@ def _coerce_int(key: str, value) -> int:
 
 
 def _coerce_float(key: str, value) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             return float(value)
         except ValueError:
-            raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
-    return float(value)
+            pass
+    raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
 
 
 def parse_config(text: str) -> tuple[FlowConfig, InitialSpec, dict]:
@@ -213,6 +218,10 @@ def parse_config(text: str) -> tuple[FlowConfig, InitialSpec, dict]:
     Unknown keys, type mismatches and constraint violations raise
     ConfigError naming the key.
     """
+    return _config_from_dict(_load_document(text))
+
+
+def _load_document(text: str) -> dict:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -221,10 +230,14 @@ def parse_config(text: str) -> tuple[FlowConfig, InitialSpec, dict]:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"configuration must be a key-value document, got {type(doc).__name__}")
-    return _config_from_dict(doc)
+    return doc
 
 
 def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
+    """Coerce key types and build the validated run parameters of one document.
+
+    The constraints on values are those of FlowConfig and InitialSpec.
+    """
     known = set(_REQUIRED_KEYS) | set(_CONFIG_DEFAULTS)
     unknown = sorted(set(doc) - known)
     if unknown:
@@ -234,32 +247,16 @@ def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
     echo: dict = dict(_CONFIG_DEFAULTS)
     echo.update(doc)
     for key in _INT_KEYS:
-        if key in echo and echo[key] is not None:
+        if key in echo:
             echo[key] = _coerce_int(key, echo[key])
     for key in _FLOAT_KEYS:
-        if key in echo and echo[key] is not None:
+        if key in echo:
             echo[key] = _coerce_float(key, echo[key])
 
-    # constraints on provided keys are reported before missing required keys,
-    # so a document containing only a bad value gets the more useful error
+    # a bad n is reported before missing required keys, so a document
+    # containing only that value gets the more useful error
     if "n" in echo and echo["n"] < 16:
         raise ConfigError(f"key 'n': must be >= 16, got {echo['n']}")
-    if "t_end" in echo and echo["t_end"] <= 0.0:
-        raise ConfigError(f"key 't_end': must be positive, got {echo['t_end']}")
-    if "init" in echo and echo["init"] not in ("cosine-graph", "flat", "custom-file"):
-        raise ConfigError(f"key 'init': must be cosine-graph, flat or custom-file, "
-                          f"got {echo['init']!r}")
-    if not 0.0 < echo["dt_safety"] <= 1.0:
-        raise ConfigError(f"key 'dt_safety': must be in (0, 1], got {echo['dt_safety']}")
-    if echo["snapshot_every"] < 1:
-        raise ConfigError(f"key 'snapshot_every': must be >= 1, got {echo['snapshot_every']}")
-    if not echo["line_right"] > echo["line_left"]:
-        raise ConfigError("key 'line_right': must exceed line_left")
-    if echo["stop_knorm"] < 0.0:
-        raise ConfigError(f"key 'stop_knorm': must be >= 0, got {echo['stop_knorm']}")
-    if echo["max_steps"] < 1:
-        raise ConfigError(f"key 'max_steps': must be >= 1, got {echo['max_steps']}")
-
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ConfigError("missing required key" + ("s" if len(missing) > 1 else "")
@@ -267,6 +264,8 @@ def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
 
     if echo["init"] != "custom-file":
         echo["path"] = None
+    elif echo["path"] is not None and not isinstance(echo["path"], str):
+        raise ConfigError(f"key 'path': expected a file name, got {echo['path']!r}")
     try:
         spec = InitialSpec(
             kind=echo["init"],
@@ -301,6 +300,8 @@ def sweep_cells(doc: dict) -> list[tuple[str, dict]]:
     for key in ("A", "m", "n"):
         value = doc.get(key)
         grids[key] = list(value) if isinstance(value, list) else [value]
+        if not grids[key]:
+            raise ConfigError(f"key {key!r}: an empty list leaves the grid without cells")
     cells = []
     for a, m, n in product(grids["A"], grids["m"], grids["n"]):
         cell = dict(doc)
@@ -354,23 +355,23 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
         {"t": snap.time, "points": [[float(x), float(y)] for x, y in snap.curve.points]}
         for snap in trajectory.snapshots
     ]
-    json_path = out / "snapshots.json"
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"meta": meta, "frames": frames}, fh,
-                  sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    written.append(json_path)
-
+    written.append(_write_json(out / "snapshots.json", {"meta": meta, "frames": frames}))
     if reports is not None:
-        verify_path = out / "verify.json"
-        with open(verify_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(
-                {"schema_version": SCHEMA_VERSION,
-                 "reports": [asdict(report) for report in reports]},
-                fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        written.append(verify_path)
+        written.append(_write_reports(out, reports))
     return written
+
+
+def _write_json(path: Path, document: dict) -> Path:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(document, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+    return path
+
+
+def _write_reports(out: Path, reports: list[CheckReport]) -> Path:
+    return _write_json(out / "verify.json",
+                       {"schema_version": SCHEMA_VERSION,
+                        "reports": [asdict(report) for report in reports]})
 
 
 def _margin_summary(curve: DiscreteCurve) -> str:
@@ -379,18 +380,6 @@ def _margin_summary(curve: DiscreteCurve) -> str:
     margin = C0_PI3 - product
     return (f"small-energy margin delta = {margin:.6g} "
             f"(|k_s|^2 L0^3 = {product:.6g}, threshold = {C0_PI3:.6g})")
-
-
-def _run_one(echo: dict, config: FlowConfig, spec: InitialSpec,
-             out_dir, quiet: bool, reports: list[CheckReport] | None = None) -> Trajectory:
-    initial = generate_initial(spec)
-    if not quiet:
-        print(_margin_summary(initial))
-    trajectory = run_flow(config, initial, extra_metadata={"config": echo})
-    emit(trajectory, reports, out_dir)
-    if not quiet:
-        _print_summary(trajectory)
-    return trajectory
 
 
 def _print_summary(trajectory: Trajectory) -> None:
@@ -402,35 +391,15 @@ def _print_summary(trajectory: Trajectory) -> None:
           f"k_inf={final.k_inf:.6g} omega={final.omega:.3g}")
 
 
-def _print_reports(reports: list[CheckReport], quiet: bool) -> bool:
-    all_passed = all(report.passed for report in reports)
-    if not quiet:
-        for report in reports:
-            flag = "PASS" if report.passed else "FAIL"
-            print(f"{flag} {report.name}: residual {report.residual:.3g} "
-                  f"(tolerance {report.tolerance:.3g})")
-    return all_passed
+def _print_reports(reports: list[CheckReport]) -> None:
+    for report in reports:
+        flag = "PASS" if report.passed else "FAIL"
+        print(f"{flag} {report.name}: residual {report.residual:.3g} "
+              f"(tolerance {report.tolerance:.3g})")
 
 
-def _cmd_run(args) -> int:
-    config, spec, echo = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    if args.snapshot_every is not None:
-        config = replace(config, snapshot_every=args.snapshot_every)
-        echo = {**echo, "snapshot_every": args.snapshot_every}
-    trajectory = _run_one(echo, config, spec, args.out, args.quiet)
-    return 0 if trajectory.metadata["termination"] != "dt_underflow" else 1
-
-
-def _cmd_verify(args) -> int:
-    config, spec, echo = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    if args.snapshot_every is not None:
-        config = replace(config, snapshot_every=args.snapshot_every)
-        echo = {**echo, "snapshot_every": args.snapshot_every}
-    initial = generate_initial(spec)
-    if not args.quiet:
-        print(_margin_summary(initial))
-    trajectory = run_flow(config, initial, extra_metadata={"config": echo})
-    reports = [
+def _verify_reports(trajectory: Trajectory) -> list[CheckReport]:
+    return [
         check_dissipation(trajectory),
         check_length_identity(trajectory),
         check_k2_identity(trajectory),
@@ -439,12 +408,62 @@ def _cmd_verify(args) -> int:
         check_boundary_hierarchy(compute_geometry(trajectory.snapshots[-1].curve)),
         psw_sample_study(),
     ]
-    emit(trajectory, reports, args.out)
-    ok = _print_reports(reports, args.quiet)
-    if trajectory.metadata["termination"] == "dt_underflow":
-        print("run aborted: dt underflow", file=sys.stderr)
-        return 1
-    return 0 if ok else 1
+
+
+def _plan(args) -> list[tuple[str, Path, FlowConfig, InitialSpec, dict]]:
+    """Every run of a `run`, `verify` or `sweep` command, checked before any runs.
+
+    Entries are (label, output directory, config, spec, echo): one unlabelled
+    run written to --out, or one labelled run per sweep cell, written to the
+    cell's subdirectory.
+    """
+    doc = _load_document(Path(args.config).read_text(encoding="utf-8"))
+    if args.snapshot_every is not None:
+        doc["snapshot_every"] = args.snapshot_every
+    out = Path(args.out)
+    if args.command != "sweep":
+        return [("", out, *_config_from_dict(doc))]
+    plan = []
+    names = set()
+    for name, cell in sweep_cells(doc):
+        if name in names:
+            raise ConfigError(f"sweep cell {name!r} appears twice in the grid")
+        names.add(name)
+        plan.append((f"cell {name}: ", out / name, *_config_from_dict(cell)))
+    return plan
+
+
+def _cmd_flow(args) -> int:
+    """`run`, `verify` and `sweep`: exit 1 if a run underflows or a check fails."""
+    groups: dict[FlowConfig, list[tuple[str, Path, dict, DiscreteCurve]]] = {}
+    for label, out, config, spec, echo in _plan(args):
+        groups.setdefault(config, []).append((label, out, echo, generate_initial(spec)))
+    failed = False
+    for config, runs in groups.items():
+        if not args.quiet:
+            for label, _, _, initial in runs:
+                print(f"{label}{_margin_summary(initial)}")
+        extras = [{"config": echo} for _, _, echo, _ in runs]
+        if len(runs) == 1:
+            trajectories = [run_flow(config, runs[0][3], extra_metadata=extras[0])]
+        else:
+            trajectories = run_ensemble(config, [run[3] for run in runs], extras)
+        for (label, out, _, _), trajectory in zip(runs, trajectories):
+            reports = _verify_reports(trajectory) if args.command == "verify" else None
+            emit(trajectory, reports, out)
+            status = trajectory.metadata["termination"]
+            if not args.quiet:
+                _print_summary(trajectory)
+                if reports is not None:
+                    _print_reports(reports)
+                if label:
+                    print(f"{label}termination={status} -> {out}")
+            if status == "dt_underflow":
+                print(f"{label}run aborted: dt underflow", file=sys.stderr)
+                failed = True
+            if reports is not None and not all(report.passed for report in reports):
+                failed = True
+    return 1 if failed else 0
 
 
 def _cmd_psw(args) -> int:
@@ -458,62 +477,10 @@ def _cmd_psw(args) -> int:
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "verify.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION,
-                   "reports": [asdict(report) for report in reports]},
-                  fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    return 0 if _print_reports(reports, args.quiet) else 1
-
-
-def _sweep_plan(args) -> list[tuple[str, FlowConfig, InitialSpec, dict]]:
-    """Every cell of a sweep document, parsed and validated before any runs."""
-    try:
-        doc = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"configuration is not valid YAML: {exc}") from exc
-    plan = []
-    names = set()
-    for name, cell in sweep_cells(doc or {}):
-        if name in names:
-            raise ConfigError(f"sweep cell {name!r} appears twice in the grid")
-        names.add(name)
-        config, spec, echo = _config_from_dict(cell)
-        if args.snapshot_every is not None:
-            config = replace(config, snapshot_every=args.snapshot_every)
-            echo = {**echo, "snapshot_every": args.snapshot_every}
-        plan.append((name, config, spec, echo))
-    return plan
-
-
-def _cmd_sweep(args) -> int:
-    plan = _sweep_plan(args)
-    initials = [generate_initial(spec) for _, _, spec, _ in plan]
-    # cells that share a FlowConfig (in practice: share n) step as one ensemble
-    groups: dict[FlowConfig, list[int]] = {}
-    for index, (_, config, _, _) in enumerate(plan):
-        groups.setdefault(config, []).append(index)
-    failures = 0
-    for config, members in groups.items():
-        if not args.quiet:
-            for index in members:
-                print(f"cell {plan[index][0]}: {_margin_summary(initials[index])}")
-        extras = [{"config": plan[index][3]} for index in members]
-        if len(members) == 1:
-            trajectories = [run_flow(config, initials[members[0]], extra_metadata=extras[0])]
-        else:
-            trajectories = run_ensemble(config, [initials[i] for i in members], extras)
-        for index, trajectory in zip(members, trajectories):
-            name = plan[index][0]
-            cell_dir = Path(args.out) / name
-            emit(trajectory, None, cell_dir)
-            status = trajectory.metadata["termination"]
-            if status == "dt_underflow":
-                failures += 1
-            if not args.quiet:
-                _print_summary(trajectory)
-                print(f"cell {name}: termination={status} -> {cell_dir}")
-    return 1 if failures else 0
+    _write_reports(out, reports)
+    if not args.quiet:
+        _print_reports(reports)
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -523,30 +490,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool):
-        if config_required:
-            p.add_argument("--config", required=True, help="YAML configuration file")
-            p.add_argument("--snapshot-every", type=int, default=None,
-                           help="override snapshot cadence (steps)")
+    for name, help_text in (("run", "simulate and write diagnostics"),
+                            ("verify", "simulate, then run every verification check"),
+                            ("sweep", "run a grid of configurations")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="YAML configuration file")
+        p.add_argument("--snapshot-every", type=int, default=None,
+                       help="override snapshot cadence (steps)")
+        p.set_defaults(func=_cmd_flow)
+    p = sub.add_parser("psw", help="sample the Poincare-type inequalities")
+    p.add_argument("--seed", type=int, default=0, help="random seed (recorded)")
+    p.set_defaults(func=_cmd_psw)
+    for p in sub.choices.values():
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-
-    p_run = sub.add_parser("run", help="simulate and write diagnostics")
-    add_common(p_run, True)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_verify = sub.add_parser("verify", help="simulate, then run every verification check")
-    add_common(p_verify, True)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_psw = sub.add_parser("psw", help="sample the Poincare-type inequalities")
-    p_psw.add_argument("--seed", type=int, default=0, help="random seed (recorded)")
-    add_common(p_psw, False)
-    p_psw.set_defaults(func=_cmd_psw)
-
-    p_sweep = sub.add_parser("sweep", help="run a grid of configurations")
-    add_common(p_sweep, True)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
     try:

@@ -118,49 +118,108 @@ class GeometryProfile:
         return self.k_derivs[4]
 
 
+def _chords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment lengths and raw chord angles of (..., n+1, 2) nodes."""
+    d = points[..., 1:, :] - points[..., :-1, :]
+    return np.hypot(d[..., 0], d[..., 1]), np.arctan2(d[..., 1], d[..., 0])
+
+
+def _running_sum(values: np.ndarray) -> np.ndarray:
+    """Zero-based running sums along the last axis: node positions from segment lengths."""
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    values.cumsum(axis=-1, out=out[..., 1:])
+    return out
+
+
 def _segment_data(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment lengths and raw chord angles; rejects coincident neighbours."""
-    d = points[1:] - points[:-1]
-    ds = np.hypot(d[:, 0], d[:, 1])
+    ds, raw = _chords(points)
     if not (ds > 0.0).all():
         raise DegenerateCurveError(int(np.argmin(ds)))
-    return ds, np.arctan2(d[:, 1], d[:, 0])
+    return ds, raw
 
 
-def _unwrap_angles(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous angle branch and the wrapped node turns."""
-    turns = raw[1:] - raw[:-1]
-    turns = (turns + np.pi) % TWO_PI - np.pi
-    phi = np.empty_like(raw)
-    phi[0] = raw[0]
-    turns.cumsum(out=phi[1:])
-    phi[1:] += raw[0]
-    return phi, turns
+def _segment_stack(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_chords` of a (B, n+1, 2) stack, and a (B,) mask of rows with finite, distinct nodes."""
+    ds, raw = _chords(points)
+    return ds, raw, np.isfinite(points).all(axis=(1, 2)) & (ds > 0.0).all(axis=1)
+
+
+def _turns(raw: np.ndarray) -> np.ndarray:
+    """Turns at the interior nodes: chord-angle differences wrapped into [-pi, pi)."""
+    turns = raw[..., 1:] - raw[..., :-1]
+    return (turns + np.pi) % TWO_PI - np.pi
+
+
+def _unwrap(raw: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """Chord-angle branch through raw[..., 0], as [..., 1:-1] of an (..., n+2) array.
+
+    The two end entries are left for the ghost angles.
+    """
+    phi_e = np.empty(raw.shape[:-1] + (raw.shape[-1] + 2,))
+    phi = phi_e[..., 1:-1]
+    phi[..., :1] = raw[..., :1]
+    turns.cumsum(axis=-1, out=phi[..., 1:])
+    phi[..., 1:] += raw[..., :1]
+    return phi_e
+
+
+def _ghost_angle(phi_end):
+    """Angle of the mirror ghost of an end chord, and the pi-multiple of the contact.
+
+    Mirror ghosts reflect an end chord through its contact branch; one ghost
+    angle per side is enough to evaluate curvature at every node.
+    """
+    branch = np.rint(phi_end / np.pi)
+    return TWO_PI * branch - phi_end, branch
+
+
+def _curvature(phi_e: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node curvature and tangent angle from ghost-extended chord angles."""
+    ds_e = np.empty_like(phi_e)
+    ds_e[..., 0] = ds[..., 0]
+    ds_e[..., 1:-1] = ds
+    ds_e[..., -1] = ds[..., -1]
+    w = 0.5 * (ds_e[..., :-1] + ds_e[..., 1:])
+    k = (phi_e[..., 1:] - phi_e[..., :-1]) / w
+    theta = 0.5 * (phi_e[..., :-1] + phi_e[..., 1:])
+    return k, theta
+
+
+def _curvature_derivatives(k: np.ndarray, h) -> np.ndarray:
+    """Arc-length derivatives of k of orders 1..5, shape (5,) + k.shape.
+
+    The even extension of k about both end nodes reproduces the curvature of
+    the mirror-extended node set exactly; central stencils on it make the odd
+    orders vanish at the end nodes.  `h` broadcasts against k[..., :1].
+    """
+    k_e = np.concatenate([k[..., GHOSTS:0:-1], k, k[..., -2:-2 - GHOSTS:-1]], axis=-1)
+    m3, m2, m1 = k_e[..., :-6], k_e[..., 1:-5], k_e[..., 2:-4]
+    p1, p2, p3 = k_e[..., 4:-2], k_e[..., 5:-1], k_e[..., 6:]
+    c = k_e[..., 3:-3]
+    h2 = h * h
+    h3 = h2 * h
+    # Odd-order stencils difference mirrored pairs first so that the even
+    # extension cancels bitwise at the endpoints.
+    d1 = p1 - m1
+    d2 = p2 - m2
+    out = np.empty((5,) + k.shape)
+    out[0] = d1 / (2.0 * h)
+    out[1] = (p1 - 2.0 * c + m1) / h2
+    out[2] = (d2 - 2.0 * d1) / (2.0 * h3)
+    out[3] = (p2 - 4.0 * p1 + 6.0 * c - 4.0 * m1 + m2) / (h2 * h2)
+    out[4] = ((p3 - m3) - 4.0 * d2 + 5.0 * d1) / (2.0 * h2 * h3)
+    return out
 
 
 @lru_cache(maxsize=8)
 def _fractions(m: int) -> np.ndarray:
+    """Arc fractions of the m+1 nodes of a resampled curve."""
+    if m < 16:
+        raise ValueError(f"resample target must satisfy m >= 16, got {m}")
     f = np.linspace(0.0, 1.0, m + 1)
     f.setflags(write=False)
     return f
-
-
-def mirror_extend(curve: DiscreteCurve, ghosts: int = GHOSTS) -> np.ndarray:
-    """Node set extended by reflection across each boundary line.
-
-    Ghost j steps beyond the left endpoint is the reflection of node j across
-    x = line_left (x -> 2*line_left - x, y unchanged), and likewise on the
-    right.  Returns an array of n+1+2*ghosts points; row `ghosts` is node 0.
-    """
-    pts = curve.points
-    n = pts.shape[0] - 1
-    if not 1 <= ghosts <= n:
-        raise ValueError(f"ghost count must be in [1, {n}], got {ghosts}")
-    left = pts[ghosts:0:-1].copy()
-    left[:, 0] = 2.0 * curve.line_left - left[:, 0]
-    right = pts[n - 1:n - 1 - ghosts:-1].copy()
-    right[:, 0] = 2.0 * curve.line_right - right[:, 0]
-    return np.concatenate([left, pts, right])
 
 
 def compute_geometry(curve: DiscreteCurve, spacing_tol: float = SPACING_TOL) -> GeometryProfile:
@@ -186,57 +245,27 @@ def compute_geometry(curve: DiscreteCurve, spacing_tol: float = SPACING_TOL) -> 
             "resample the curve first"
         )
 
-    phi, turns = _unwrap_angles(raw)
-    m_left = int(round(phi[0] / np.pi))
-    m_right = int(round(phi[-1] / np.pi))
-    # mirror ghosts reflect chord angles through the contact branch:
-    # one ghost angle per side is enough to evaluate curvature at every node
-    phi_ghost_l = TWO_PI * m_left - phi[0]
-    phi_ghost_r = TWO_PI * m_right - phi[-1]
+    turns = _turns(raw)
+    phi_e = _unwrap(raw, turns)
+    phi = phi_e[1:-1]
+    phi_e[0], m_left = _ghost_angle(phi[0])
+    phi_e[-1], m_right = _ghost_angle(phi[-1])
     worst = max(float(np.abs(turns).max(initial=0.0)),
-                abs(phi[0] - phi_ghost_l), abs(phi[-1] - phi_ghost_r))
+                abs(phi[0] - phi_e[0]), abs(phi[-1] - phi_e[-1]))
     if worst > 0.5 * np.pi:
         raise ResolutionError(
             f"tangent angle jumps by {worst:.3f} rad (> pi/2); curve is under-resolved "
             "or violates perpendicular contact"
         )
 
-    phi_e = np.empty(phi.size + 2)
-    phi_e[0] = phi_ghost_l
-    phi_e[1:-1] = phi
-    phi_e[-1] = phi_ghost_r
-    ds_e = np.empty(ds.size + 2)
-    ds_e[0] = ds[0]
-    ds_e[1:-1] = ds
-    ds_e[-1] = ds[-1]
-
-    w = 0.5 * (ds_e[:-1] + ds_e[1:])
-    k = (phi_e[1:] - phi_e[:-1]) / w
-    theta = 0.5 * (phi_e[:-1] + phi_e[1:])
-
-    # even extension reproduces curvature of the mirror-extended node set exactly
-    k_e = np.concatenate([k[GHOSTS:0:-1], k, k[-2:-2 - GHOSTS:-1]])
-    h2 = h * h
-    h3 = h2 * h
-    k_derivs = np.empty((5, k.size))
-    k_derivs[0] = (k_e[4:-2] - k_e[2:-4]) / (2.0 * h)
-    k_derivs[1] = (k_e[4:-2] - 2.0 * k_e[3:-3] + k_e[2:-4]) / h2
-    # Odd-order stencils difference mirrored pairs first so that the even
-    # extension cancels bitwise at the endpoints.
-    k_derivs[2] = ((k_e[5:-1] - k_e[1:-5]) - 2.0 * (k_e[4:-2] - k_e[2:-4])) / (2.0 * h3)
-    k_derivs[3] = (k_e[5:-1] - 4.0 * k_e[4:-2] + 6.0 * k_e[3:-3]
-                   - 4.0 * k_e[2:-4] + k_e[1:-5]) / (h2 * h2)
-    k_derivs[4] = ((k_e[6:] - k_e[:-6]) - 4.0 * (k_e[5:-1] - k_e[1:-5])
-                   + 5.0 * (k_e[4:-2] - k_e[2:-4])) / (2.0 * h2 * h3)
-
-    s = np.empty(pts.shape[0])
-    s[0] = 0.0
-    ds.cumsum(out=s[1:])
+    k, theta = _curvature(phi_e, ds)
+    k_derivs = _curvature_derivatives(k, h)
+    s = _running_sum(ds)
     for arr in (s, ds, phi, theta, k, k_derivs):
         arr.setflags(write=False)
     return GeometryProfile(
         s=s, ds=ds, h=h, phi=phi, theta=theta, k=k, k_derivs=k_derivs,
-        length=float(s[-1]), branch_left=m_left, branch_right=m_right,
+        length=float(s[-1]), branch_left=int(m_left), branch_right=int(m_right),
     )
 
 
@@ -267,25 +296,6 @@ class GeometryStack:
             getattr(self, f.name)[index] = getattr(rows, f.name)
 
 
-def _segment_stack(points: np.ndarray):
-    """`_segment_data` and `_unwrap_angles` turns of every row of a (B, n+1, 2) stack.
-
-    Returns the node coordinates x, y as contiguous (B, n+1) arrays, segment
-    lengths, raw chord angles, wrapped turns, and a (B,) mask that is False
-    for rows with non-finite nodes or a degenerate segment.
-    """
-    x = np.ascontiguousarray(points[..., 0])
-    y = np.ascontiguousarray(points[..., 1])
-    dx = x[:, 1:] - x[:, :-1]
-    dy = y[:, 1:] - y[:, :-1]
-    ds = np.hypot(dx, dy)
-    raw = np.arctan2(dy, dx)
-    turns = raw[:, 1:] - raw[:, :-1]
-    turns = (turns + np.pi) % TWO_PI - np.pi
-    valid = np.isfinite(points).all(axis=(1, 2)) & (ds > 0.0).all(axis=1)
-    return x, y, ds, raw, turns, valid
-
-
 def compute_geometry_stack(points: np.ndarray) -> GeometryStack:
     """`compute_geometry` of every curve in a (B, n+1, 2) stack at once.
 
@@ -296,39 +306,20 @@ def compute_geometry_stack(points: np.ndarray) -> GeometryStack:
     angle jumps by more than pi/2.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        _, _, ds, raw, turns, valid = _segment_stack(points)
+        ds, raw, valid = _segment_stack(points)
         h = ds.mean(axis=1)
-        dev = np.abs(ds - h[:, None]).max(axis=1)
-        valid &= dev <= SPACING_TOL * h
-
-        phi_e = np.empty((raw.shape[0], raw.shape[1] + 2))
-        phi = phi_e[:, 1:-1]
-        phi[:, 0] = raw[:, 0]
-        turns.cumsum(axis=1, out=phi[:, 1:])
-        phi[:, 1:] += raw[:, :1]
-        phi_e[:, 0] = TWO_PI * np.round(phi[:, 0] / np.pi) - phi[:, 0]
-        phi_e[:, -1] = TWO_PI * np.round(phi[:, -1] / np.pi) - phi[:, -1]
+        valid &= np.abs(ds - h[:, None]).max(axis=1) <= SPACING_TOL * h
+        turns = _turns(raw)
+        phi_e = _unwrap(raw, turns)
+        phi_e[:, 0], _ = _ghost_angle(phi_e[:, 1])
+        phi_e[:, -1], _ = _ghost_angle(phi_e[:, -2])
         worst = np.maximum(np.abs(turns).max(axis=1, initial=0.0),
-                           np.maximum(np.abs(phi[:, 0] - phi_e[:, 0]),
-                                      np.abs(phi[:, -1] - phi_e[:, -1])))
+                           np.maximum(np.abs(phi_e[:, 1] - phi_e[:, 0]),
+                                      np.abs(phi_e[:, -2] - phi_e[:, -1])))
         valid &= worst <= 0.5 * np.pi
-
-        ds_e = np.empty_like(phi_e)
-        ds_e[:, 0] = ds[:, 0]
-        ds_e[:, 1:-1] = ds
-        ds_e[:, -1] = ds[:, -1]
-        w = 0.5 * (ds_e[:, :-1] + ds_e[:, 1:])
-        k = (phi_e[:, 1:] - phi_e[:, :-1]) / w
-        theta = 0.5 * (phi_e[:, :-1] + phi_e[:, 1:])
-
-        k_e = np.concatenate([k[:, GHOSTS:0:-1], k, k[:, -2:-2 - GHOSTS:-1]], axis=1)
-        hc = h[:, None]
-        h2 = hc * hc
-        k_s = (k_e[:, 4:-2] - k_e[:, 2:-4]) / (2.0 * hc)
-        k_ss = (k_e[:, 4:-2] - 2.0 * k_e[:, 3:-3] + k_e[:, 2:-4]) / h2
-        k_s4 = (k_e[:, 5:-1] - 4.0 * k_e[:, 4:-2] + 6.0 * k_e[:, 3:-3]
-                - 4.0 * k_e[:, 2:-4] + k_e[:, 1:-5]) / (h2 * h2)
-    return GeometryStack(valid, h, theta, k, k_s, k_ss, k_s4)
+        k, theta = _curvature(phi_e, ds)
+        k_derivs = _curvature_derivatives(k, h[:, None])
+    return GeometryStack(valid, h, theta, k, k_derivs[0], k_derivs[1], k_derivs[3])
 
 
 def integrate(values: np.ndarray, profile: GeometryProfile) -> float:
@@ -348,45 +339,27 @@ def boundary_residuals(profile: GeometryProfile) -> dict[str, float]:
     k_s5 at each endpoint, plus the deviation of the end chords from
     perpendicular contact (|sin| of the chord angle).
     """
-    k = profile.k
     h = profile.h
     h2 = h * h
-    left = {
-        "ks": _ONESIDED_1 @ k[1:4] / h,
-        "ksss": _ONESIDED_3 @ k[1:6] / (h * h2),
-        "ks5": _ONESIDED_5 @ k[1:8] / (h * h2 * h2),
-    }
-    kr = k[::-1]
-    right = {
-        "ks": _ONESIDED_1 @ kr[1:4] / h,
-        "ksss": _ONESIDED_3 @ kr[1:6] / (h * h2),
-        "ks5": _ONESIDED_5 @ kr[1:8] / (h * h2 * h2),
-    }
-    return {
-        "ks_left": abs(float(left["ks"])),
-        "ks_right": abs(float(right["ks"])),
-        "ksss_left": abs(float(left["ksss"])),
-        "ksss_right": abs(float(right["ksss"])),
-        "ks5_left": abs(float(left["ks5"])),
-        "ks5_right": abs(float(right["ks5"])),
-        "perp_left": abs(float(np.sin(profile.phi[0]))),
-        "perp_right": abs(float(np.sin(profile.phi[-1]))),
-    }
+    residuals = {}
+    for side, k, phi_end in (("left", profile.k, profile.phi[0]),
+                             ("right", profile.k[::-1], profile.phi[-1])):
+        residuals[f"ks_{side}"] = abs(float(_ONESIDED_1 @ k[1:4] / h))
+        residuals[f"ksss_{side}"] = abs(float(_ONESIDED_3 @ k[1:6] / (h * h2)))
+        residuals[f"ks5_{side}"] = abs(float(_ONESIDED_5 @ k[1:8] / (h * h2 * h2)))
+        residuals[f"perp_{side}"] = abs(float(np.sin(phi_end)))
+    return residuals
 
 
-def _lagrange_positions(t: np.ndarray, pts: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Evaluate the piecewise 4-point Lagrange interpolant at parameters tau."""
-    N = t.size - 1
-    seg = (np.searchsorted(t, tau) - 1).clip(0, N - 1)
-    b = (seg - 1).clip(0, N - 3)
+def _lagrange_weights(t: np.ndarray, b: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weights of the nodes b..b+3 in the 4-point Lagrange interpolant at parameters tau."""
     t0, t1, t2, t3 = t[b], t[b + 1], t[b + 2], t[b + 3]
     d0, d1, d2, d3 = tau - t0, tau - t1, tau - t2, tau - t3
     w0 = d1 * d2 * d3 / ((t0 - t1) * (t0 - t2) * (t0 - t3))
     w1 = d0 * d2 * d3 / ((t1 - t0) * (t1 - t2) * (t1 - t3))
     w2 = d0 * d1 * d3 / ((t2 - t0) * (t2 - t1) * (t2 - t3))
     w3 = d0 * d1 * d2 / ((t3 - t0) * (t3 - t1) * (t3 - t2))
-    return (w0[:, None] * pts[b] + w1[:, None] * pts[b + 1]
-            + w2[:, None] * pts[b + 2] + w3[:, None] * pts[b + 3])
+    return w0, w1, w2, w3
 
 
 def _lagrange_velocity(t: np.ndarray, pts: np.ndarray, tau: np.ndarray,
@@ -421,9 +394,7 @@ def arc_length(points: np.ndarray) -> float:
     """
     pts = np.asarray(points, dtype=float)
     ds, _ = _segment_data(pts)
-    t = np.empty(pts.shape[0])
-    t[0] = 0.0
-    np.cumsum(ds, out=t[1:])
+    t = _running_sum(ds)
     N = pts.shape[0] - 1
     mid = 0.5 * (t[:-1] + t[1:])
     half = 0.5 * ds
@@ -434,6 +405,25 @@ def arc_length(points: np.ndarray) -> float:
     return float(np.sum(speed @ _GL_WEIGHTS * half))
 
 
+def _arc_and_chord(ds: np.ndarray, turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node positions in turn-corrected arc s and in the chord parameter t.
+
+    A segment's arc is its chord times 1 + psi^2/24 (the circle-arc turning
+    correction), psi the mean turn at its ends, the end turn on end segments.
+    """
+    psi = np.empty_like(ds)
+    psi[..., 1:-1] = 0.5 * (turns[..., :-1] + turns[..., 1:])
+    psi[..., 0] = turns[..., 0]
+    psi[..., -1] = turns[..., -1]
+    return _running_sum(ds * (1.0 + psi * psi / 24.0)), _running_sum(ds)
+
+
+def _pin(points: np.ndarray, line_left: float, line_right: float) -> None:
+    """Put the end nodes of (..., n+1, 2) points exactly on their lines."""
+    points[..., 0, 0] = line_left
+    points[..., -1, 0] = line_right
+
+
 def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     """Resample to m+1 nodes at equal arc spacing along the cubic interpolant.
 
@@ -442,31 +432,18 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     pulled back to the chord parameter, where the piecewise 4-point Lagrange
     interpolant is evaluated.  Endpoints are preserved exactly.
     """
-    if m < 16:
-        raise ValueError(f"resample target must satisfy m >= 16, got {m}")
     pts = curve.points
     ds, raw = _segment_data(pts)
-    _, turns = _unwrap_angles(raw)
-    psi = np.empty_like(ds)
-    if turns.size:
-        psi[1:-1] = 0.5 * (turns[:-1] + turns[1:])
-        psi[0] = turns[0]
-        psi[-1] = turns[-1]
-    else:
-        psi[:] = 0.0
-    arc = ds * (1.0 + psi * psi / 24.0)
-    s = np.empty(ds.size + 1)
-    s[0] = 0.0
-    arc.cumsum(out=s[1:])
-    t = np.empty_like(s)
-    t[0] = 0.0
-    ds.cumsum(out=t[1:])
+    s, t = _arc_and_chord(ds, _turns(raw))
     tau = np.interp(_fractions(m) * s[-1], s, t)
-    out = _lagrange_positions(t, pts, tau)
+    seg = (np.searchsorted(t, tau) - 1).clip(0, ds.size - 1)
+    b = (seg - 1).clip(0, ds.size - 3)
+    w0, w1, w2, w3 = _lagrange_weights(t, b, tau)
+    out = (w0[:, None] * pts[b] + w1[:, None] * pts[b + 1]
+           + w2[:, None] * pts[b + 2] + w3[:, None] * pts[b + 3])
     out[0] = pts[0]
     out[-1] = pts[-1]
-    out[0, 0] = curve.line_left
-    out[-1, 0] = curve.line_right
+    _pin(out, curve.line_left, curve.line_right)
     return DiscreteCurve(out, curve.line_left, curve.line_right)
 
 
@@ -500,19 +477,9 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
     function would reject the curve: non-finite nodes or a degenerate
     segment, before or after resampling.
     """
-    if m < 16:
-        raise ValueError(f"resample target must satisfy m >= 16, got {m}")
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        x, y, ds, _, turns, valid = _segment_stack(points)
-        psi = np.empty_like(ds)
-        psi[:, 1:-1] = 0.5 * (turns[:, :-1] + turns[:, 1:])
-        psi[:, 0] = turns[:, 0]
-        psi[:, -1] = turns[:, -1]
-        arc = ds * (1.0 + psi * psi / 24.0)
-        s = np.zeros(points.shape[:2])
-        arc.cumsum(axis=1, out=s[:, 1:])
-        t = np.zeros_like(s)
-        ds.cumsum(axis=1, out=t[:, 1:])
+        ds, raw, valid = _segment_stack(points)
+        s, t = _arc_and_chord(ds, _turns(raw))
 
         # flat indices of node j of row b are offset[b] + j
         N = ds.shape[1]
@@ -525,21 +492,15 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
         tau = slope * (targets - s_flat[j]) + t_flat[j]
         tau[:, -1] = t[:, -1]
 
-        seg = _search_sorted_rows(t, tau, "left")
-        b = (seg - 2).clip(0, N - 3) + offset
-        t0, t1, t2, t3 = t_flat[b], t_flat[b + 1], t_flat[b + 2], t_flat[b + 3]
-        d0, d1, d2, d3 = tau - t0, tau - t1, tau - t2, tau - t3
-        w0 = d1 * d2 * d3 / ((t0 - t1) * (t0 - t2) * (t0 - t3))
-        w1 = d0 * d2 * d3 / ((t1 - t0) * (t1 - t2) * (t1 - t3))
-        w2 = d0 * d1 * d3 / ((t2 - t0) * (t2 - t1) * (t2 - t3))
-        w3 = d0 * d1 * d2 / ((t3 - t0) * (t3 - t1) * (t3 - t2))
+        b = (_search_sorted_rows(t, tau, "left") - 2).clip(0, N - 3) + offset
+        w0, w1, w2, w3 = _lagrange_weights(t_flat, b, tau)
         out = np.empty((points.shape[0], m + 1, 2))
-        for axis, coord in enumerate((x.ravel(), y.ravel())):
+        for axis in range(2):
+            coord = points[..., axis].ravel()
             out[..., axis] = (w0 * coord[b] + w1 * coord[b + 1]
                               + w2 * coord[b + 2] + w3 * coord[b + 3])
         out[:, 0] = points[:, 0]
         out[:, -1] = points[:, -1]
-        out[:, 0, 0] = line_left
-        out[:, -1, 0] = line_right
+        _pin(out, line_left, line_right)
         valid &= np.isfinite(out).all(axis=(1, 2))
     return out, valid

@@ -11,7 +11,14 @@ from typing import Any
 
 import numpy as np
 
-from .curve import DiscreteCurve, GeometryProfile, boundary_residuals, integrate
+from .curve import (
+    DiscreteCurve,
+    GeometryProfile,
+    _chords,
+    _running_sum,
+    boundary_residuals,
+    integrate,
+)
 
 # positive root of 174 c^2 + 74 c - 2 = 0; the small-energy threshold is
 # C0 * pi^3 and the margin is delta = C0 * pi^3 - |k_s|_2^2 * L_ref^3
@@ -197,11 +204,7 @@ def decay_window(values: np.ndarray, upper_frac: float = 0.5,
 def _fractional_positions(curve: DiscreteCurve, fractions: np.ndarray) -> np.ndarray:
     """Node positions interpolated at given arc-length fractions."""
     pts = curve.points
-    d = pts[1:] - pts[:-1]
-    ds = np.hypot(d[:, 0], d[:, 1])
-    s = np.empty(pts.shape[0])
-    s[0] = 0.0
-    np.cumsum(ds, out=s[1:])
+    s = _running_sum(_chords(pts)[0])
     u = s / s[-1]
     return np.column_stack([np.interp(fractions, u, pts[:, 0]),
                             np.interp(fractions, u, pts[:, 1])])
@@ -234,9 +237,7 @@ def displacement_integral(trajectory: Trajectory, cumulative: bool = False):
     times = trajectory.times
     speeds = trajectory.series("speed_inf")
     increments = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(times)
-    speed_int = np.empty(len(snaps))
-    speed_int[0] = 0.0
-    np.cumsum(increments, out=speed_int[1:])
+    speed_int = _running_sum(increments)
     if cumulative:
         return running, speed_int
     return float(running[-1]), float(speed_int[-1])

@@ -6,13 +6,17 @@ difference of position (an explicit method would need dt of order h^6),
 solves one septa-diagonal system per coordinate, re-pins the endpoints and
 resamples to uniform spacing.
 
-Two run loops share that scheme.  `run_flow` steps one curve and solves the
-two banded systems with `solve_banded`.  `run_ensemble` steps a stack of
-curves that share one configuration in lockstep: geometry and resampling run
-along the batch axis, and both mirror-folded systems, which are circulant on
-the 2n-periodic mirror extension, are solved for every curve by one real FFT
-pair.  Each curve of an ensemble keeps its own step size, clock, rejections,
-snapshots and termination.
+Two run loops share that scheme and its formulas: the right-hand side, the
+endpoint re-pinning, and the geometry and resampling kernels of `curve`,
+each written once over a leading batch axis.  `run_flow` steps one curve and
+solves the two banded systems with `solve_banded`.  `run_ensemble` steps a
+stack of curves that share one configuration in lockstep: both
+mirror-folded systems, which are circulant on the 2n-periodic mirror
+extension, are solved for every curve by one real FFT pair.  Each curve of
+an ensemble keeps its own step size, clock, rejections, snapshots and
+termination.  The loops and the solves stay separate because running a
+single curve as an ensemble of one would change the cost of every `run` and
+`verify`.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from .curve import (
     DiscreteCurve,
     GeometryProfile,
     GeometryStack,
+    _pin,
     compute_geometry,
     compute_geometry_stack,
     resample_uniform,
@@ -68,8 +73,8 @@ class FlowConfig:
             raise ValueError(f"n must be >= 16, got {self.n}")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must be in (0, 1], got {self.dt_safety}")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         if not self.line_right > self.line_left:
@@ -90,7 +95,7 @@ class FlowState:
     profile: GeometryProfile
 
 
-def normal_speed(profile: GeometryProfile) -> np.ndarray:
+def normal_speed(profile: GeometryProfile | GeometryStack) -> np.ndarray:
     """Normal speed F = k_s4 + k^2 k_ss - (1/2) k k_s^2 at every node."""
     k = profile.k
     k_s = profile.k_s
@@ -171,6 +176,16 @@ def select_dt(state: FlowState, config: FlowConfig) -> float:
     return min(dt, remaining)
 
 
+def _rhs(geometry: GeometryProfile | GeometryStack, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides dt * F * nu of the x and y systems, zero at the pinned x ends."""
+    speed = normal_speed(geometry)
+    rhs_x = (-dt) * speed * np.sin(geometry.theta)
+    rhs_y = dt * speed * np.cos(geometry.theta)
+    rhs_x[..., 0] = 0.0
+    rhs_x[..., -1] = 0.0
+    return rhs_x, rhs_y
+
+
 def step(state: FlowState, dt: float) -> FlowState:
     """Advance one linearly-implicit step of size dt.
 
@@ -187,12 +202,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     profile = state.profile
     curve = state.curve
     n = curve.n
-    speed = normal_speed(profile)
+    rhs_x, rhs_y = _rhs(profile, dt)
     lam = dt / profile.h ** 6
-    rhs_x = (-dt) * speed * np.sin(profile.theta)
-    rhs_y = dt * speed * np.cos(profile.theta)
-    rhs_x[0] = 0.0
-    rhs_x[-1] = 0.0
     ab_x = _implicit_matrix(n, -1.0, True, lam)
     ab_y = _implicit_matrix(n, 1.0, False, lam)
     try:
@@ -205,8 +216,7 @@ def step(state: FlowState, dt: float) -> FlowState:
             f"implicit solve failed at step {state.step_index}: {exc}"
         ) from exc
     pts = curve.points + np.column_stack([dx, dy])
-    pts[0, 0] = curve.line_left
-    pts[-1, 0] = curve.line_right
+    _pin(pts, curve.line_left, curve.line_right)
     try:
         moved = DiscreteCurve(pts, curve.line_left, curve.line_right)
         resampled = resample_uniform(moved, n)
@@ -230,17 +240,9 @@ def _step_stack(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray,
     Returns the new nodes and their geometry; a member whose moved curve
     `step` would reject has `valid` False.
     """
-    k = geometry.k
-    speed = geometry.k_s4 + k * k * geometry.k_ss - 0.5 * k * geometry.k_s * geometry.k_s
-    dtc = dt[:, None]
-    rhs = np.empty((points.shape[0], 2, points.shape[1]))
-    rhs[:, 0] = (-dtc) * speed * np.sin(geometry.theta)
-    rhs[:, 1] = dtc * speed * np.cos(geometry.theta)
-    rhs[:, 0, 0] = 0.0
-    rhs[:, 0, -1] = 0.0
+    rhs = np.stack(_rhs(geometry, dt[:, None]), axis=1)
     moved = points + _solve_mirror(rhs, dt / geometry.h ** 6).transpose(0, 2, 1)
-    moved[:, 0, 0] = line_left
-    moved[:, -1, 0] = line_right
+    _pin(moved, line_left, line_right)
     resampled, valid = resample_uniform_stack(moved, points.shape[1] - 1,
                                               line_left, line_right)
     new_geometry = compute_geometry_stack(resampled)
@@ -267,6 +269,22 @@ def _snapshot(time: float, curve: DiscreteCurve, profile: GeometryProfile,
               length_ref: float) -> Snapshot:
     rec = make_record(time, profile, normal_speed(profile), length_ref)
     return Snapshot(time, curve, rec)
+
+
+def _trajectory(snaps: list[Snapshot], config: FlowConfig, termination: str, steps: int,
+                final_time: float, rejections: int, wall_time: float,
+                extra_metadata: dict | None) -> Trajectory:
+    metadata = {
+        "config": asdict(config),
+        "termination": termination,
+        "steps": steps,
+        "final_time": final_time,
+        "rejections": rejections,
+        "wall_time": wall_time,
+    }
+    if extra_metadata:
+        metadata.update(extra_metadata)
+    return Trajectory(tuple(snaps), metadata)
 
 
 def run_flow(config: FlowConfig, initial: DiscreteCurve,
@@ -324,17 +342,8 @@ def run_flow(config: FlowConfig, initial: DiscreteCurve,
     if not snaps or snaps[-1].time < state.time:
         record(state)
 
-    metadata = {
-        "config": asdict(config),
-        "termination": termination,
-        "steps": state.step_index,
-        "final_time": state.time,
-        "rejections": rejections,
-        "wall_time": _time.perf_counter() - wall_start,
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    return Trajectory(tuple(snaps), metadata)
+    return _trajectory(snaps, config, termination, state.step_index, state.time, rejections,
+                       _time.perf_counter() - wall_start, extra_metadata)
 
 
 def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
@@ -424,17 +433,6 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
                 record(b)
 
     wall_time = _time.perf_counter() - wall_start
-    trajectories = []
-    for b, (termination, member_steps) in enumerate(endings):
-        metadata = {
-            "config": asdict(config),
-            "termination": termination,
-            "steps": member_steps,
-            "final_time": float(times[b]),
-            "rejections": int(rejections[b]),
-            "wall_time": wall_time,
-        }
-        if extras[b]:
-            metadata.update(extras[b])
-        trajectories.append(Trajectory(tuple(snaps[b]), metadata))
-    return trajectories
+    return [_trajectory(snaps[b], config, termination, member_steps, float(times[b]),
+                        int(rejections[b]), wall_time, extras[b])
+            for b, (termination, member_steps) in enumerate(endings)]

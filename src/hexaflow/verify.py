@@ -71,16 +71,39 @@ def _identity_tolerance(times: np.ndarray, profiles: list[GeometryProfile]) -> f
     return TOLERANCE_SCALE * (profiles[0].h ** 2 + float(np.diff(times).max()))
 
 
-def _relative_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _noise_floor(*sides: np.ndarray) -> float:
     # Time-difference rates carry an absolute noise of about ulp(series)/dt
     # and the quadratures one of ulp/h^5, so once both sides sit this far
     # below the trajectory's peak rate the comparison measures rounding, not
     # the identity; such points are normalized by the floor instead.
-    scale = max(float(np.abs(lhs).max(initial=0.0)),
-                float(np.abs(rhs).max(initial=0.0)))
-    floor = max(NOISE_REL * scale, RESIDUAL_FLOOR)
-    denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+    scale = max(float(np.abs(side).max(initial=0.0)) for side in sides)
+    return max(NOISE_REL * scale, RESIDUAL_FLOOR)
+
+
+def _relative_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _noise_floor(lhs, rhs))
     return np.abs(lhs - rhs) / denom
+
+
+def _identity_report(name: str, times: np.ndarray, profiles: list[GeometryProfile],
+                     series: np.ndarray, rhs: np.ndarray, tolerance: float | None,
+                     what: str, bound_violation: float | None = None) -> CheckReport:
+    """Centered time difference of `series` against `rhs` at interior snapshots.
+
+    The residual is the worst relative mismatch, or `bound_violation` where
+    that is larger; the tolerance defaults to the identity tolerance.
+    """
+    lhs = _centered_dt(times, series)
+    mismatch = _relative_mismatch(lhs, rhs)
+    worst = int(np.argmax(mismatch))
+    residual = float(mismatch[worst])
+    context = f"{what} at {lhs.size} interior snapshots, worst at t={times[worst + 1]:.6g}"
+    if bound_violation is not None:
+        residual = max(residual, bound_violation)
+        context += f"; decay bound violation {bound_violation:.3g}"
+    tol = _identity_tolerance(times, profiles) if tolerance is None else tolerance
+    return CheckReport(name=name, lhs=float(lhs[worst]), rhs=float(rhs[worst]),
+                       residual=residual, tolerance=float(tol), context=context)
 
 
 def check_dissipation(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
@@ -93,20 +116,8 @@ def check_dissipation(trajectory: Trajectory, tolerance: float | None = None) ->
     times, profiles = _snapshot_profiles(trajectory)
     ksn = np.array([integrate(p.k_s * p.k_s, p) for p in profiles])
     diss = np.array([integrate(normal_speed(p) ** 2, p) for p in profiles])
-    lhs = _centered_dt(times, ksn)
-    rhs = -2.0 * diss[1:-1]
-    mismatch = _relative_mismatch(lhs, rhs)
-    worst = int(np.argmax(mismatch))
-    tol = _identity_tolerance(times, profiles) if tolerance is None else tolerance
-    return CheckReport(
-        name="dissipation",
-        lhs=float(lhs[worst]),
-        rhs=float(rhs[worst]),
-        residual=float(mismatch[worst]),
-        tolerance=float(tol),
-        context=(f"d/dt |k_s|^2 vs -2*int(F^2) at {lhs.size} interior snapshots, "
-                 f"worst at t={times[worst + 1]:.6g}"),
-    )
+    return _identity_report("dissipation", times, profiles, ksn, -2.0 * diss[1:-1],
+                            tolerance, "d/dt |k_s|^2 vs -2*int(F^2)")
 
 
 def check_length_identity(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
@@ -121,33 +132,19 @@ def check_length_identity(trajectory: Trajectory, tolerance: float | None = None
     ksn = np.array([integrate(p.k_s * p.k_s, p) for p in profiles])
     kssn = np.array([integrate(p.k_ss * p.k_ss, p) for p in profiles])
     cross = np.array([integrate(p.k * p.k * p.k_s * p.k_s, p) for p in profiles])
-    lhs = _centered_dt(times, length)
     rhs = (-kssn + 3.5 * cross)[1:-1]
-    mismatch = _relative_mismatch(lhs, rhs)
-    worst = int(np.argmax(mismatch))
 
     bracket = 1.0 - 7.0 * length ** 3 / math.pi ** 3 * ksn
     bound = -bracket[1:-1] * kssn[1:-1]
     applies = bracket[1:-1] > 0.0
-    floor = max(NOISE_REL * float(np.abs(bound).max(initial=0.0)), RESIDUAL_FLOOR)
     excess = np.where(
         applies,
-        (rhs - bound) / np.maximum(np.abs(bound), floor),
+        (rhs - bound) / np.maximum(np.abs(bound), _noise_floor(bound)),
         0.0,
     )
     bound_violation = float(np.clip(excess, 0.0, None).max(initial=0.0))
-
-    tol = _identity_tolerance(times, profiles) if tolerance is None else tolerance
-    return CheckReport(
-        name="length-identity",
-        lhs=float(lhs[worst]),
-        rhs=float(rhs[worst]),
-        residual=float(max(mismatch[worst], bound_violation)),
-        tolerance=float(tol),
-        context=(f"dL/dt vs -|k_ss|^2 + 3.5*int(k^2 k_s^2) at {lhs.size} interior "
-                 f"snapshots, worst at t={times[worst + 1]:.6g}; decay bound "
-                 f"violation {bound_violation:.3g}"),
-    )
+    return _identity_report("length-identity", times, profiles, length, rhs, tolerance,
+                            "dL/dt vs -|k_ss|^2 + 3.5*int(k^2 k_s^2)", bound_violation)
 
 
 def check_k2_identity(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
@@ -168,20 +165,8 @@ def check_k2_identity(trajectory: Trajectory, tolerance: float | None = None) ->
             + integrate(k_ss * k ** 5, p)
             - 0.5 * integrate(k_s * k_s * k ** 4, p)
         )
-    lhs = _centered_dt(times, knorm2)
-    rhs = rhs_all[1:-1]
-    mismatch = _relative_mismatch(lhs, rhs)
-    worst = int(np.argmax(mismatch))
-    tol = _identity_tolerance(times, profiles) if tolerance is None else tolerance
-    return CheckReport(
-        name="k2-identity",
-        lhs=float(lhs[worst]),
-        rhs=float(rhs[worst]),
-        residual=float(mismatch[worst]),
-        tolerance=float(tol),
-        context=(f"d/dt |k|^2 vs five-term quadrature at {lhs.size} interior "
-                 f"snapshots, worst at t={times[worst + 1]:.6g}"),
-    )
+    return _identity_report("k2-identity", times, profiles, knorm2, rhs_all[1:-1], tolerance,
+                            "d/dt |k|^2 vs five-term quadrature")
 
 
 def check_kss_inequality(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
@@ -205,8 +190,7 @@ def check_kss_inequality(trajectory: Trajectory, tolerance: float | None = None)
     rhs = (bracket * ks5n - 3.0 / length * kssn ** 2)[1:-1]
     # Same noise floor as the identity checks: near flatness the fifth
     # derivative's quadrature is rounding noise and both sides are zero.
-    floor = max(NOISE_REL * float(np.abs(rhs).max(initial=0.0)), RESIDUAL_FLOOR)
-    excess = (lhs - rhs) / np.maximum(np.abs(rhs), floor)
+    excess = (lhs - rhs) / np.maximum(np.abs(rhs), _noise_floor(rhs))
     worst = int(np.argmax(excess))
     residual = float(max(excess[worst], 0.0))
     tol = 0.05 if tolerance is None else tolerance

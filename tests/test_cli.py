@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -73,6 +74,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="path"):
             parse_config("n: 64\nt_end: 1.0\ninit: custom-file\n")
 
+    @pytest.mark.parametrize("path", ["5", "[a.json]"])
+    def test_custom_path_must_be_a_file_name(self, path):
+        with pytest.raises(ConfigError, match="'path'"):
+            parse_config(f"n: 64\nt_end: 1.0\ninit: custom-file\npath: {path}\n")
+
     def test_amplitude_exceeding_half_gap(self):
         with pytest.raises(ConfigError, match="half the line gap"):
             parse_config("n: 64\nt_end: 1.0\ninit: cosine-graph\nA: 1.5\n")
@@ -84,6 +90,10 @@ class TestParseConfig:
     def test_invalid_yaml(self):
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("n: [unclosed\n")
+
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ConfigError, match="t_end"):
+            parse_config("n: 64\nt_end: .inf\ninit: cosine-graph\n")
 
 
 class TestGenerateInitial:
@@ -126,6 +136,20 @@ class TestGenerateInitial:
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({"points": pts}))
         with pytest.raises(ConfigError, match="endpoint"):
+            generate_initial(InitialSpec(kind="custom-file", n=64, path=str(path)))
+
+    @pytest.mark.parametrize("document", [
+        {"frames": [{"t": 0.0}]},
+        {"frames": {"0": {"points": [[-1.0, 0.0], [1.0, 0.0]]}}},
+    ], ids=["frame-without-points", "frames-not-a-list"])
+    def test_malformed_custom_file_exits_2(self, tmp_path, capsys, document):
+        path = tmp_path / "snaps.json"
+        path.write_text(json.dumps(document))
+        config = tmp_path / "config.yaml"
+        config.write_text(f"n: 64\nt_end: 0.05\ninit: custom-file\npath: {path}\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="frame"):
             generate_initial(InitialSpec(kind="custom-file", n=64, path=str(path)))
 
     def test_custom_file_frame_out_of_range(self, tmp_path):
@@ -339,6 +363,21 @@ class TestMainEntry:
         assert "half the line gap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_empty_grid_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("n: 32\nA: []\nt_end: 0.002\ninit: cosine-graph\n")
+        out = tmp_path / "cells"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert "'A'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n", "A", "max_steps"])
+    def test_null_value_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(json.dumps({"n": 64, "t_end": 0.05, "init": "cosine-graph", key: None}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
     def test_sweep_underflow_exits_1_and_keeps_other_cells(self, tmp_path, monkeypatch):
         import hexaflow.flow as flow
 
@@ -381,3 +420,16 @@ class TestMainEntry:
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every attribute the benchmark tracer wraps exists once the CLI is imported."""
+    spans_path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import hexaflow.cli  # noqa: F401  (loads every module the tracer patches)
+
+    missing = [f"{module}.{attr}" for module, attr in spans.WRAPPED
+               if not callable(getattr(sys.modules.get(module), attr, None))]
+    assert not missing

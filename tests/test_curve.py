@@ -21,7 +21,6 @@ from hexaflow import (
     compute_geometry,
     generate_initial,
     integrate,
-    mirror_extend,
     resample_uniform,
 )
 from hexaflow.curve import (
@@ -146,17 +145,6 @@ class TestParity:
         assert p.k_s[0] == 0.0 and p.k_s[-1] == 0.0
         assert p.k_sss[0] == 0.0 and p.k_sss[-1] == 0.0
         assert p.k_s5[0] == 0.0 and p.k_s5[-1] == 0.0
-
-    def test_mirror_extend_reflects_endpoints(self, cosine_curve):
-        ext = mirror_extend(cosine_curve)
-        pts = cosine_curve.points
-        for j in range(1, 4):
-            ghost_l = ext[3 - j]
-            assert ghost_l[0] == pytest.approx(2.0 * -1.0 - pts[j, 0], abs=1e-15)
-            assert ghost_l[1] == pytest.approx(pts[j, 1], abs=1e-15)
-            ghost_r = ext[3 + cosine_curve.n + j]
-            assert ghost_r[0] == pytest.approx(2.0 * 1.0 - pts[-1 - j, 0], abs=1e-15)
-            assert ghost_r[1] == pytest.approx(pts[-1 - j, 1], abs=1e-15)
 
 
 class TestGeometryErrors:
