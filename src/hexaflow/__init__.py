@@ -14,7 +14,6 @@ from .curve import (
     GeometryProfile,
     ResolutionError,
     SpacingError,
-    arc_length,
     boundary_residuals,
     compute_geometry,
     integrate,
@@ -64,7 +63,6 @@ __all__ = [
     "GeometryProfile",
     "ResolutionError",
     "SpacingError",
-    "arc_length",
     "boundary_residuals",
     "compute_geometry",
     "integrate",

@@ -46,6 +46,7 @@ from .curve import DiscreteCurve, compute_geometry, integrate, resample_uniform
 from .diagnostics import C0_PI3, Trajectory, small_energy_margin
 from .flow import FlowConfig, run_ensemble, run_flow
 from .verify import (
+    MIN_SNAPSHOTS,
     CheckReport,
     check_boundary_hierarchy,
     check_dissipation,
@@ -434,11 +435,16 @@ def _plan(args) -> list[tuple[str, Path, FlowConfig, InitialSpec, dict]]:
 
 
 def _cmd_flow(args) -> int:
-    """`run`, `verify` and `sweep`: exit 1 if a run underflows or a check fails."""
+    """`run`, `verify` and `sweep`: exit 1 if a run underflows or a check fails.
+
+    A `verify` run that records too few snapshots for the checks is still
+    written, without verify.json, and exits 2.
+    """
     groups: dict[FlowConfig, list[tuple[str, Path, dict, DiscreteCurve]]] = {}
     for label, out, config, spec, echo in _plan(args):
         groups.setdefault(config, []).append((label, out, echo, generate_initial(spec)))
     failed = False
+    too_few = False
     for config, runs in groups.items():
         if not args.quiet:
             for label, _, _, initial in runs:
@@ -449,7 +455,10 @@ def _cmd_flow(args) -> int:
         else:
             trajectories = run_ensemble(config, [run[3] for run in runs], extras)
         for (label, out, _, _), trajectory in zip(runs, trajectories):
-            reports = _verify_reports(trajectory) if args.command == "verify" else None
+            recorded = len(trajectory.snapshots)
+            unverifiable = args.command == "verify" and recorded < MIN_SNAPSHOTS
+            reports = (_verify_reports(trajectory)
+                       if args.command == "verify" and not unverifiable else None)
             emit(trajectory, reports, out)
             status = trajectory.metadata["termination"]
             if not args.quiet:
@@ -463,7 +472,16 @@ def _cmd_flow(args) -> int:
                 failed = True
             if reports is not None and not all(report.passed for report in reports):
                 failed = True
-    return 1 if failed else 0
+            if unverifiable:
+                steps = trajectory.metadata["steps"]
+                hint = (f"rerun with --snapshot-every {steps // 2} or less" if steps >= 2
+                        else "that takes a run of at least 2 steps")
+                print(f"{label}cannot verify: the checks need at least {MIN_SNAPSHOTS} "
+                      f"snapshots, the run recorded {recorded} in {steps} steps at "
+                      f"snapshot_every = {config.snapshot_every}; {hint}; "
+                      f"wrote the run to {out}", file=sys.stderr)
+                too_few = True
+    return 2 if too_few else 1 if failed else 0
 
 
 def _cmd_psw(args) -> int:

@@ -26,8 +26,6 @@ _ONESIDED_1 = np.array([-2.5, 4.0, -1.5])
 _ONESIDED_3 = np.array([-3.5, 13.0, -18.0, 11.0, -2.5])
 _ONESIDED_5 = np.array([-4.5, 26.0, -62.5, 80.0, -57.5, 22.0, -3.5])
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
 
 class CurveError(ValueError):
     """Base class for geometric rejections."""
@@ -137,12 +135,6 @@ def _segment_data(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (ds > 0.0).all():
         raise DegenerateCurveError(int(np.argmin(ds)))
     return ds, raw
-
-
-def _segment_stack(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_chords` of a (B, n+1, 2) stack, and a (B,) mask of rows with finite, distinct nodes."""
-    ds, raw = _chords(points)
-    return ds, raw, np.isfinite(points).all(axis=(1, 2)) & (ds > 0.0).all(axis=1)
 
 
 def _turns(raw: np.ndarray) -> np.ndarray:
@@ -303,11 +295,14 @@ def compute_geometry_stack(points: np.ndarray) -> GeometryStack:
     single-curve result exactly and no row depends on another.  Instead of
     raising, a row fails `valid` when its nodes are non-finite, a segment is
     degenerate, spacing is off by more than SPACING_TOL, or the tangent
-    angle jumps by more than pi/2.
+    angle jumps by more than pi/2.  Non-finite nodes need no test of their
+    own: they make h or the spacing deviation NaN or infinite, which fails
+    the spacing test.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ds, raw, valid = _segment_stack(points)
+        ds, raw = _chords(points)
         h = ds.mean(axis=1)
+        valid = (ds > 0.0).all(axis=1)
         valid &= np.abs(ds - h[:, None]).max(axis=1) <= SPACING_TOL * h
         turns = _turns(raw)
         phi_e = _unwrap(raw, turns)
@@ -362,49 +357,6 @@ def _lagrange_weights(t: np.ndarray, b: np.ndarray, tau: np.ndarray) -> tuple[np
     return w0, w1, w2, w3
 
 
-def _lagrange_velocity(t: np.ndarray, pts: np.ndarray, tau: np.ndarray,
-                       seg: np.ndarray) -> np.ndarray:
-    """Derivative of the piecewise cubic interpolant at tau inside given segments."""
-    N = t.size - 1
-    b = np.clip(seg - 1, 0, N - 3)
-    tk = np.stack([t[b], t[b + 1], t[b + 2], t[b + 3]])
-    out = np.zeros((tau.size, 2))
-    for j in range(4):
-        denom = np.ones_like(tau)
-        for l in range(4):
-            if l != j:
-                denom *= tk[j] - tk[l]
-        others = [l for l in range(4) if l != j]
-        num = np.zeros_like(tau)
-        for skip in others:
-            term = np.ones_like(tau)
-            for l in others:
-                if l != skip:
-                    term *= tau - tk[l]
-            num += term
-        out += (num / denom)[:, None] * pts[b + j]
-    return out
-
-
-def arc_length(points: np.ndarray) -> float:
-    """Arc length of the piecewise-cubic interpolant through the nodes.
-
-    Five-point Gauss quadrature of the interpolant speed on every chord
-    interval; accurate far beyond the interpolation error itself.
-    """
-    pts = np.asarray(points, dtype=float)
-    ds, _ = _segment_data(pts)
-    t = _running_sum(ds)
-    N = pts.shape[0] - 1
-    mid = 0.5 * (t[:-1] + t[1:])
-    half = 0.5 * ds
-    tau = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    seg = np.repeat(np.arange(N), _GL_NODES.size)
-    vel = _lagrange_velocity(t, pts, tau, seg)
-    speed = np.hypot(vel[:, 0], vel[:, 1]).reshape(N, _GL_NODES.size)
-    return float(np.sum(speed @ _GL_WEIGHTS * half))
-
-
 def _arc_and_chord(ds: np.ndarray, turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Node positions in turn-corrected arc s and in the chord parameter t.
 
@@ -447,6 +399,14 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     return DiscreteCurve(out, curve.line_left, curve.line_right)
 
 
+@lru_cache(maxsize=64)
+def _flat_index(rows: int, width: int, size: int) -> np.ndarray:
+    """(rows, size) flat positions of the first `size` entries of each row of a (rows, width) array."""
+    index = np.arange(rows)[:, None] * width + np.arange(size)
+    index.setflags(write=False)
+    return index
+
+
 def _search_sorted_rows(table: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
     """`np.searchsorted(table[b], queries[b], side)` for every row b at once.
 
@@ -464,7 +424,10 @@ def _search_sorted_rows(table: np.ndarray, queries: np.ndarray, side: str) -> np
         order = np.argsort(np.concatenate([table, queries], axis=1), axis=1, kind="stable")
         is_query = order >= table.shape[1]
     merged_at = np.flatnonzero(is_query).reshape(rows, size)
-    return merged_at - (np.arange(rows)[:, None] * width + np.arange(size))
+    return merged_at - _flat_index(rows, width, size)
+
+
+_STENCIL = np.arange(4)[:, None, None]
 
 
 def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
@@ -478,27 +441,33 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
     segment, before or after resampling.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ds, raw, valid = _segment_stack(points)
+        ds, raw = _chords(points)
+        valid = np.isfinite(points).all(axis=(1, 2)) & (ds > 0.0).all(axis=1)
         s, t = _arc_and_chord(ds, _turns(raw))
 
         # flat indices of node j of row b are offset[b] + j
-        N = ds.shape[1]
-        offset = np.arange(points.shape[0])[:, None] * (N + 1)
+        rows, N = ds.shape
+        offset = _flat_index(rows, N + 1, 1)
         s_flat, t_flat = s.ravel(), t.ravel()
 
         targets = _fractions(m) * s[:, -1:]
         j = (_search_sorted_rows(s, targets, "right") - 1).clip(0, N - 1) + offset
-        slope = (t_flat[j + 1] - t_flat[j]) / (s_flat[j + 1] - s_flat[j])
-        tau = slope * (targets - s_flat[j]) + t_flat[j]
+        s_j, t_j = s_flat[j], t_flat[j]
+        j1 = j + 1
+        slope = (t_flat[j1] - t_j) / (s_flat[j1] - s_j)
+        tau = slope * (targets - s_j) + t_j
         tau[:, -1] = t[:, -1]
 
+        # flat indices of the four interpolation nodes b..b+3 of every target,
+        # formed once for the weights (`_lagrange_weights` reads the gathered
+        # parameters as its nodes 0..3) and both coordinates
         b = (_search_sorted_rows(t, tau, "left") - 2).clip(0, N - 3) + offset
-        w0, w1, w2, w3 = _lagrange_weights(t_flat, b, tau)
-        out = np.empty((points.shape[0], m + 1, 2))
+        nodes = b + _STENCIL
+        w0, w1, w2, w3 = _lagrange_weights(t_flat[nodes], 0, tau)
+        out = np.empty((rows, m + 1, 2))
         for axis in range(2):
-            coord = points[..., axis].ravel()
-            out[..., axis] = (w0 * coord[b] + w1 * coord[b + 1]
-                              + w2 * coord[b + 2] + w3 * coord[b + 3])
+            c = points[..., axis].ravel()[nodes]
+            out[..., axis] = w0 * c[0] + w1 * c[1] + w2 * c[2] + w3 * c[3]
         out[:, 0] = points[:, 0]
         out[:, -1] = points[:, -1]
         _pin(out, line_left, line_right)

@@ -12,17 +12,19 @@ each written once over a leading batch axis.  `run_flow` steps one curve and
 solves the two banded systems with `solve_banded`.  `run_ensemble` steps a
 stack of curves that share one configuration in lockstep: both
 mirror-folded systems, which are circulant on the 2n-periodic mirror
-extension, are solved for every curve by one real FFT pair.  Each curve of
-an ensemble keeps its own step size, clock, rejections, snapshots and
-termination.  The loops and the solves stay separate because running a
-single curve as an ensemble of one would change the cost of every `run` and
-`verify`.
+extension, are solved for every curve by one real FFT pair.  Each lockstep
+step is one `_step_stack` call on the whole stack of running curves; only
+the rows it rejects are stepped again, at halved dt, and the stack is
+compacted only when curves finish.  Each curve of an ensemble keeps its own
+step size, clock, rejections, snapshots and termination.  The loops and the
+solves stay separate because running a single curve as an ensemble of one
+would change the cost of every `run` and `verify`.
 """
 from __future__ import annotations
 
 import time as _time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -246,7 +248,8 @@ def _step_stack(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray,
     resampled, valid = resample_uniform_stack(moved, points.shape[1] - 1,
                                               line_left, line_right)
     new_geometry = compute_geometry_stack(resampled)
-    return resampled, replace(new_geometry, valid=new_geometry.valid & valid)
+    np.logical_and(new_geometry.valid, valid, out=new_geometry.valid)
+    return resampled, new_geometry
 
 
 def _initial_state(config: FlowConfig, initial: DiscreteCurve) -> FlowState:
@@ -353,12 +356,13 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
     Every member keeps the rules of `run_flow`: its own dt = dt_safety * h^2,
     clock, snapshot cadence and termination, and a rejected step retries
     with halved dt for that member alone, down to the same "dt_underflow"
-    abort that keeps its partial trajectory.  Steps use `_step_stack`, whose
-    FFT solve differs from the banded one only by rounding; no member's
-    result depends on its batch-mates.  Snapshot records come from
-    `compute_geometry` and `make_record`, as in `run_flow`.
-    `extra_metadata` holds one dict (or None) per member; `wall_time` is
-    that of the whole ensemble.
+    abort that keeps its partial trajectory.  Each step is one `_step_stack`
+    call on the stack of running members; only rejected members are stepped
+    again, and the stack is compacted when members finish.  The FFT solve
+    differs from the banded one only by rounding; no member's result depends
+    on its batch-mates.  Snapshot records come from `compute_geometry` and
+    `make_record`, as in `run_flow`.  `extra_metadata` holds one dict (or
+    None) per member; `wall_time` is that of the whole ensemble.
     """
     states = [_initial_state(config, initial) for initial in initials]
     if not states:
@@ -368,71 +372,84 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
         raise ValueError(f"{len(extras)} metadata entries for {len(states)} curves")
     wall_start = _time.perf_counter()
     lines = (config.line_left, config.line_right)
+    # row r of points, geometry and clock belongs to member live[r]
+    live = np.arange(len(states))
     points = np.stack([st.curve.points for st in states])
     geometry = compute_geometry_stack(points)
-    times = np.zeros(len(states))
+    clock = np.zeros(len(states))
+    final_times = np.zeros(len(states))
     rejections = np.zeros(len(states), dtype=int)
     length_refs = [st.profile.length for st in states]
     snaps = [[_snapshot(st.time, st.curve, st.profile, ref)]
              for st, ref in zip(states, length_refs)]
     endings: list[tuple[str, int] | None] = [None] * len(states)
 
-    def record(b: int) -> None:
-        curve = DiscreteCurve(points[b], *lines)
-        snaps[b].append(_snapshot(float(times[b]), curve, compute_geometry(curve),
+    def record(row: int) -> None:
+        b = live[row]
+        curve = DiscreteCurve(points[row], *lines)
+        snaps[b].append(_snapshot(float(clock[row]), curve, compute_geometry(curve),
                                   length_refs[b]))
 
-    def finish(members: np.ndarray, termination: str) -> None:
-        for b in members:
-            endings[b] = (termination, steps)
-            if snaps[b][-1].time < times[b]:
-                record(b)
+    def finish(row: int, termination: str) -> None:
+        b = live[row]
+        endings[b] = (termination, steps)
+        final_times[b] = clock[row]
+        if snaps[b][-1].time < clock[row]:
+            record(row)
 
-    active = np.arange(len(states))
     steps = 0
     t_slack = 1e-12 * config.t_end
-    while True:
-        if config.stop_knorm > 0.0:
-            k_inf = np.abs(geometry.k[active]).max(axis=1)
-            finish(active[k_inf < config.stop_knorm], "stop_knorm")
-            active = active[k_inf >= config.stop_knorm]
-        reached = times[active] >= config.t_end - t_slack
-        finish(active[reached], "t_end")
-        active = active[~reached]
-        if steps >= config.max_steps:
-            finish(active, "max_steps")
-            break
-        if not active.size:
-            break
-        h2 = geometry.h[active] ** 2
-        dt = np.minimum(config.dt_safety * h2, config.t_end - times[active])
-        dt_floor = DT_FLOOR_FACTOR * h2
-        accepted = np.zeros(active.size, dtype=bool)
-        todo = np.arange(active.size)
-        for _ in range(MAX_HALVINGS + 1):
-            members = active[todo]
-            new_points, new_geometry = _step_stack(points[members], geometry.take(members),
-                                                   dt[todo], *lines)
-            ok = new_geometry.valid
-            moved = members[ok]
-            points[moved] = new_points[ok]
-            geometry.put(moved, new_geometry.take(ok))
-            times[moved] += dt[todo[ok]]
-            accepted[todo[ok]] = True
-            rejections[members[~ok]] += 1
-            todo = todo[~ok]
-            dt[todo] *= 0.5
-            todo = todo[dt[todo] >= dt_floor[todo]]
-            if not todo.size:
+    while live.size:
+        reached = clock >= config.t_end - t_slack
+        flat = (np.abs(geometry.k).max(axis=1) < config.stop_knorm if config.stop_knorm > 0.0
+                else np.zeros_like(reached))
+        ended = flat | reached
+        capped = steps >= config.max_steps
+        if capped or ended.any():
+            for row in np.flatnonzero(ended | capped):
+                finish(row, "stop_knorm" if flat[row] else "t_end" if reached[row] else "max_steps")
+            if capped:
                 break
-        finish(active[~accepted], "dt_underflow")
-        active = active[accepted]
+            keep = ~ended
+            live, points, clock, geometry = (live[keep], points[keep], clock[keep],
+                                             geometry.take(keep))
+            if not live.size:
+                break
+        h2 = geometry.h ** 2
+        dt = np.minimum(config.dt_safety * h2, config.t_end - clock)
+        new_points, new_geometry = _step_stack(points, geometry, dt, *lines)
+        # a rejected member retries at halved dt, MAX_HALVINGS times at most, as in run_flow
+        retry = np.flatnonzero(~new_geometry.valid)
+        for attempt in range(MAX_HALVINGS + 1):
+            if not retry.size:
+                break
+            rejections[live[retry]] += 1
+            dt[retry] *= 0.5
+            retry = retry[dt[retry] >= DT_FLOOR_FACTOR * h2[retry]]
+            if attempt == MAX_HALVINGS or not retry.size:
+                break
+            retried_points, retried = _step_stack(points[retry], geometry.take(retry),
+                                                  dt[retry], *lines)
+            ok = retried.valid
+            new_points[retry[ok]] = retried_points[ok]
+            new_geometry.put(retry[ok], retried.take(ok))
+            retry = retry[~ok]
+        accepted = new_geometry.valid
+        if accepted.all():
+            points, geometry = new_points, new_geometry
+            clock += dt
+        else:
+            for row in np.flatnonzero(~accepted):
+                finish(row, "dt_underflow")
+            live, points, clock, geometry = (live[accepted], new_points[accepted],
+                                             clock[accepted] + dt[accepted],
+                                             new_geometry.take(accepted))
         steps += 1
         if steps % config.snapshot_every == 0:
-            for b in active:
-                record(b)
+            for row in range(live.size):
+                record(row)
 
     wall_time = _time.perf_counter() - wall_start
-    return [_trajectory(snaps[b], config, termination, member_steps, float(times[b]),
+    return [_trajectory(snaps[b], config, termination, member_steps, float(final_times[b]),
                         int(rejections[b]), wall_time, extras[b])
             for b, (termination, member_steps) in enumerate(endings)]

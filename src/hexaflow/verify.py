@@ -27,6 +27,7 @@ RESIDUAL_FLOOR = 1e-12    # absolute fallback so 0-vs-0 comparisons stay defined
 NOISE_REL = 1e-4
 TOLERANCE_SCALE = 5.0     # identity tolerance = scale * (h^2 + snapshot spacing)
 BOUNDARY_SCALE = 100.0    # boundary residual tolerance = scale * h^2
+MIN_SNAPSHOTS = 3         # the identity checks difference three consecutive snapshots
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def _centered_dt(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (dt1 * dt1 * fwd + dt2 * dt2 * bwd) / (dt1 * dt2 * (dt1 + dt2))
 
 
-def _snapshot_profiles(trajectory: Trajectory, least: int = 3):
+def _snapshot_profiles(trajectory: Trajectory, least: int = MIN_SNAPSHOTS):
     snaps = trajectory.snapshots
     if len(snaps) < least:
         raise ValueError(f"need at least {least} snapshots, got {len(snaps)}")

@@ -76,12 +76,14 @@ def test_criterion_01_flat_line_stationary_and_fast():
     assert trajectory.metadata["wall_time"] < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_02_winding_number_conserved(standard_run):
     omega = standard_run.series("omega")
     drift = float(np.abs(omega - omega[0]).max())
     assert drift < 1e-6, f"winding drifted by {drift:.3g}"
 
 
+@pytest.mark.slow
 def test_criterion_03_length_monotone_and_bounded(standard_run):
     lengths = standard_run.series("length")
     l0 = lengths[0]
@@ -92,6 +94,7 @@ def test_criterion_03_length_monotone_and_bounded(standard_run):
     assert float(lengths.max()) <= l0 + 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_04_dissipation_identity_with_refinement(
     standard_run, refined_run
 ):
@@ -107,6 +110,7 @@ def test_criterion_04_dissipation_identity_with_refinement(
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_energy_decay_rate_exceeds_margin(standard_run):
     values = standard_run.series("kssnorm2")
     times = standard_run.times
@@ -132,6 +136,7 @@ def test_criterion_06_converges_to_horizontal_segment():
     assert final.record.ksnorm2 < 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_07_displacement_bounded_by_speed_integral(standard_run):
     running, bound = displacement_integral(standard_run, cumulative=True)
     excess = float((running - bound).max())
@@ -142,6 +147,7 @@ def test_criterion_07_displacement_bounded_by_speed_integral(standard_run):
     assert growth < 0.01, f"speed integral still growing by {growth:.3%}"
 
 
+@pytest.mark.slow
 def test_criterion_08_boundary_residuals_second_order(standard_run):
     curve64 = generate_initial(
         InitialSpec(kind="cosine-graph", amplitude=0.05, mode=1, n=64)
@@ -184,6 +190,7 @@ def test_criterion_09_poincare_inequalities_sampled():
     assert elapsed < 10.0, f"inequality sampling took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_10_identity_refinement_and_inequality(
     standard_run, refined_run
 ):

@@ -308,6 +308,28 @@ class TestMainEntry:
         )
         assert all(rep["passed"] for rep in doc["reports"])
 
+    def test_verify_with_too_few_snapshots_writes_run_and_exits_2(self, tmp_path, capsys):
+        # 6 steps at the default cadence of 100: snapshots at t = 0 and at the end only
+        path = tmp_path / "short.yaml"
+        path.write_text("n: 32\nt_end: 0.002\ninit: cosine-graph\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert not (out / "verify.json").exists()
+        doc = json.loads((out / "snapshots.json").read_text())
+        assert len(doc["frames"]) == 2
+        assert doc["meta"]["termination"] == "t_end"
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 3
+        err = capsys.readouterr().err
+        assert "recorded 2" in err
+        assert "--snapshot-every 3" in err
+        # the hinted cadence records enough snapshots to verify
+        again = tmp_path / "again"
+        assert main(["verify", "--config", str(path), "--out", str(again),
+                     "--snapshot-every", "3", "--quiet"]) in (0, 1)
+        assert len(json.loads((again / "snapshots.json").read_text())["frames"]) == 3
+        assert (again / "verify.json").exists()
+
     def test_psw_subcommand(self, tmp_path, capsys):
         out = tmp_path / "psw"
         assert main(["psw", "--seed", "1", "--out", str(out)]) == 0

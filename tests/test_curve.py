@@ -16,7 +16,6 @@ from hexaflow import (
     InitialSpec,
     ResolutionError,
     SpacingError,
-    arc_length,
     boundary_residuals,
     compute_geometry,
     generate_initial,
@@ -24,14 +23,13 @@ from hexaflow import (
     resample_uniform,
 )
 from hexaflow.curve import (
-    _lagrange_velocity,
     _search_sorted_rows,
     _segment_data,
     compute_geometry_stack,
     resample_uniform_stack,
 )
 
-from oracles import COSINE_A005_M1
+from oracles import COSINE_A005_M1, arc_length, lagrange_velocity
 
 
 def _cosine(n: int, amplitude: float = 0.05, mode: int = 1) -> DiscreteCurve:
@@ -247,7 +245,7 @@ class TestResample:
         def speed_at(tau: float) -> float:
             tau_arr = np.atleast_1d(tau)
             seg = (np.searchsorted(knots, tau_arr) - 1).clip(0, ds.size - 1)
-            vel = _lagrange_velocity(knots, pts, tau_arr, seg)
+            vel = lagrange_velocity(knots, pts, tau_arr, seg)
             return float(np.hypot(vel[0, 0], vel[0, 1]))
 
         total = 0.0
@@ -347,6 +345,31 @@ class TestStackKernels:
         for b, pts in enumerate(rows):
             single = resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m)
             assert np.array_equal(out[b], single.points)
+
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    def test_resample_with_targets_on_nodes_is_bitwise_single(self, m):
+        # Dyadic nodes on a flat and on a tilted line (chords 1/16 and 5/64,
+        # both exact): every chord parameter is exact and the turns are zero,
+        # so arc targets land exactly on nodes (on every node for m = n, on
+        # every other node for m = n/2, every other target for m = 2n) and
+        # both row searches meet ties.
+        x = -1.0 + np.arange(33) / 16.0
+        rows = [np.column_stack([x, np.zeros(33)]),
+                np.column_stack([x, np.arange(33) * 3.0 / 64.0]),
+                _cosine(32).points]
+        ds, _ = _segment_data(rows[1])
+        assert (ds == 5.0 / 64.0).all()
+        targets = np.linspace(0.0, 1.0, m + 1) * 2.5
+        on_nodes = np.isin(targets, np.arange(33) * 5.0 / 64.0)
+        assert on_nodes.sum() == min(m, 32) + 1
+        out, valid = resample_uniform_stack(np.stack(rows), m, -1.0, 1.0)
+        assert valid.all()
+        for b, pts in enumerate(rows):
+            single = resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m)
+            assert np.array_equal(out[b], single.points), b
+        if m == 32:
+            assert np.array_equal(out[0], rows[0])
+            assert np.array_equal(out[1], rows[1])
 
     def test_take_and_put_rows(self):
         stack = compute_geometry_stack(np.stack(_stack_rows()[:4]))

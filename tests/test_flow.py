@@ -447,6 +447,59 @@ class TestRunEnsemble:
             assert runs[b].metadata["termination"] == "t_end"
             assert _max_position_gap(runs[b], ensemble_run[b]) == 0.0
 
+    def test_compaction_then_retry_matches_runs_of_one(self, ensemble_members, monkeypatch):
+        # The m = 2 member stops on stop_knorm at step 5 and leaves the stack;
+        # at step 8 the A = 0.08 member is rejected twice, so its retries run
+        # on the compacted stack.  Each member must equal its ensemble of one.
+        real = flow._step_stack
+        calls = {"count": 0}
+
+        def reject_at_step_eight(points, geometry, dt, *lines):
+            new_points, new_geometry = real(points, geometry, dt, *lines)
+            calls["count"] += 1
+            if calls["count"] in (8, 9):
+                new_geometry.valid[np.abs(points[:, :, 1]).max(axis=1) > 0.065] = False
+            return new_points, new_geometry
+
+        monkeypatch.setattr("hexaflow.flow._step_stack", reject_at_step_eight)
+        with pytest.warns(RuntimeWarning, match="margin"):
+            stopping = _curve(0.02, 2)
+        members = [ensemble_members[1], stopping, ensemble_members[2], ensemble_members[3]]
+        config = FlowConfig(n=32, t_end=0.02, snapshot_every=3, stop_knorm=0.05)
+        runs = run_ensemble(config, members)
+        assert calls["count"] == max(t.metadata["steps"] for t in runs) + 2
+        assert [t.metadata["termination"] for t in runs] == [
+            "t_end", "stop_knorm", "t_end", "t_end"]
+        assert runs[1].metadata["steps"] == 5
+        assert [t.metadata["rejections"] for t in runs] == [0, 0, 2, 0]
+        for initial, member in zip(members, runs):
+            calls["count"] = 0
+            (alone,) = run_ensemble(config, [initial])
+            for key in ("steps", "rejections", "termination", "final_time"):
+                assert member.metadata[key] == alone.metadata[key], key
+            assert len(member.snapshots) == len(alone.snapshots)
+            for a, b in zip(member.snapshots, alone.snapshots):
+                assert a.time == b.time
+                assert np.array_equal(a.curve.points, b.curve.points)
+                assert a.record == b.record
+        # the retried member against `run_flow` under the same two rejections,
+        # to rounding: it kept the nodes of its accepted quarter step
+        real_step = flow.step
+        left = {"rejections": 2}
+
+        def reject_step_eight(state, dt):
+            if state.step_index == 7 and left["rejections"]:
+                left["rejections"] -= 1
+                raise StepRejected("forced", state.step_index)
+            return real_step(state, dt)
+
+        monkeypatch.setattr("hexaflow.flow.step", reject_step_eight)
+        solo = run_flow(config, members[2])
+        for key in ("steps", "rejections", "termination"):
+            assert runs[2].metadata[key] == solo.metadata[key], key
+        assert np.allclose(runs[2].times, solo.times, rtol=1e-12, atol=0.0)
+        assert _max_position_gap(runs[2], solo) <= 1e-10
+
     def test_terminations_are_per_member(self, ensemble_members):
         flat = generate_initial(InitialSpec(kind="flat", n=32))
         config = FlowConfig(n=32, t_end=0.02, snapshot_every=10, stop_knorm=1e-8)
