@@ -9,7 +9,10 @@ each in its own subdirectory), all initial curves, then one `run_flow` per
 flow configuration that only one run has and one `run_ensemble` for runs that
 share one (in practice, sweep cells with the same n), and `emit` for each.
 
-Configuration documents are YAML key-value files.  Keys and defaults:
+Configuration documents are YAML key-value files.  The keys, their
+defaults and integer or float types are the fields of FlowConfig and
+InitialSpec (`init`, `A` and `m` name the fields kind, amplitude and mode);
+a field without a default is a required key.  Keys and defaults:
 
   n               node count (required, >= 16)
   t_end           time horizon (required, > 0)
@@ -35,7 +38,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -179,23 +182,6 @@ def generate_initial(spec: InitialSpec) -> DiscreteCurve:
     return curve
 
 
-_CONFIG_DEFAULTS = {
-    "A": 0.05,
-    "m": 1,
-    "dt_safety": 0.1,
-    "snapshot_every": 100,
-    "line_left": -1.0,
-    "line_right": 1.0,
-    "stop_knorm": 0.0,
-    "max_steps": 10_000_000,
-    "path": None,
-    "frame": -1,
-}
-_REQUIRED_KEYS = ("n", "t_end", "init")
-_INT_KEYS = ("n", "m", "snapshot_every", "max_steps", "frame")
-_FLOAT_KEYS = ("t_end", "A", "dt_safety", "line_left", "line_right", "stop_knorm")
-
-
 def _coerce_int(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
@@ -209,6 +195,29 @@ def _coerce_float(key: str, value) -> float:
         except ValueError:
             pass
     raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
+
+
+_COERCE = {"int": _coerce_int, "float": _coerce_float}  # by field annotation
+_YAML_KEY = {"kind": "init", "amplitude": "A", "mode": "m"}  # field name -> key
+
+
+def _config_keys() -> dict:
+    """Every configuration key and the dataclass field it sets.
+
+    FlowConfig comes first, so a key both classes share (n, the lines) takes
+    its default from FlowConfig: n has none there and is therefore required.
+    """
+    keys = {}
+    for f in fields(FlowConfig) + fields(InitialSpec):
+        keys.setdefault(_YAML_KEY.get(f.name, f.name), f)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
+
+
+def _field_values(cls, echo: dict) -> dict:
+    return {f.name: echo[_YAML_KEY.get(f.name, f.name)] for f in fields(cls)}
 
 
 def parse_config(text: str) -> tuple[FlowConfig, InitialSpec, dict]:
@@ -237,28 +246,25 @@ def _load_document(text: str) -> dict:
 def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
     """Coerce key types and build the validated run parameters of one document.
 
-    The constraints on values are those of FlowConfig and InitialSpec.
+    Keys, defaults, types and the constraints on values are those of
+    FlowConfig and InitialSpec.
     """
-    known = set(_REQUIRED_KEYS) | set(_CONFIG_DEFAULTS)
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError("unknown key" + ("s" if len(unknown) > 1 else "")
                           + " " + ", ".join(repr(k) for k in unknown))
 
-    echo: dict = dict(_CONFIG_DEFAULTS)
+    echo = {key: f.default for key, f in _CONFIG_KEYS.items() if f.default is not MISSING}
     echo.update(doc)
-    for key in _INT_KEYS:
-        if key in echo:
-            echo[key] = _coerce_int(key, echo[key])
-    for key in _FLOAT_KEYS:
-        if key in echo:
-            echo[key] = _coerce_float(key, echo[key])
+    for key, f in _CONFIG_KEYS.items():
+        if key in echo and f.type in _COERCE:
+            echo[key] = _COERCE[f.type](key, echo[key])
 
     # a bad n is reported before missing required keys, so a document
     # containing only that value gets the more useful error
     if "n" in echo and echo["n"] < 16:
         raise ConfigError(f"key 'n': must be >= 16, got {echo['n']}")
-    missing = [k for k in _REQUIRED_KEYS if k not in doc]
+    missing = [k for k, f in _CONFIG_KEYS.items() if f.default is MISSING and k not in doc]
     if missing:
         raise ConfigError("missing required key" + ("s" if len(missing) > 1 else "")
                           + " " + ", ".join(repr(k) for k in missing))
@@ -268,26 +274,8 @@ def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
     elif echo["path"] is not None and not isinstance(echo["path"], str):
         raise ConfigError(f"key 'path': expected a file name, got {echo['path']!r}")
     try:
-        spec = InitialSpec(
-            kind=echo["init"],
-            amplitude=echo["A"],
-            mode=echo["m"],
-            n=echo["n"],
-            line_left=echo["line_left"],
-            line_right=echo["line_right"],
-            path=echo["path"],
-            frame=echo["frame"],
-        )
-        config = FlowConfig(
-            n=echo["n"],
-            t_end=echo["t_end"],
-            dt_safety=echo["dt_safety"],
-            snapshot_every=echo["snapshot_every"],
-            line_left=echo["line_left"],
-            line_right=echo["line_right"],
-            stop_knorm=echo["stop_knorm"],
-            max_steps=echo["max_steps"],
-        )
+        spec = InitialSpec(**_field_values(InitialSpec, echo))
+        config = FlowConfig(**_field_values(FlowConfig, echo))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, spec, echo
@@ -312,8 +300,8 @@ def sweep_cells(doc: dict) -> list[tuple[str, dict]]:
             else:
                 cell[key] = value
         # label unswept dimensions by their effective default
-        label_a = a if a is not None else _CONFIG_DEFAULTS["A"]
-        label_m = m if m is not None else _CONFIG_DEFAULTS["m"]
+        label_a = a if a is not None else InitialSpec.amplitude
+        label_m = m if m is not None else InitialSpec.mode
         name = f"A{label_a}_m{label_m}_n{n}"
         cells.append((name, cell))
     return cells
@@ -377,10 +365,11 @@ def _write_reports(out: Path, reports: list[CheckReport]) -> Path:
 
 def _margin_summary(curve: DiscreteCurve) -> str:
     profile = compute_geometry(curve)
-    product = integrate(profile.k_s ** 2, profile) * profile.length ** 3
-    margin = C0_PI3 - product
+    ksnorm2 = integrate(profile.k_s ** 2, profile)
+    margin = small_energy_margin(ksnorm2, profile.length)
     return (f"small-energy margin delta = {margin:.6g} "
-            f"(|k_s|^2 L0^3 = {product:.6g}, threshold = {C0_PI3:.6g})")
+            f"(|k_s|^2 L0^3 = {ksnorm2 * profile.length ** 3:.6g}, "
+            f"threshold = {C0_PI3:.6g})")
 
 
 def _print_summary(trajectory: Trajectory) -> None:
@@ -411,6 +400,15 @@ def _verify_reports(trajectory: Trajectory) -> list[CheckReport]:
     ]
 
 
+def _output_dir(path: str) -> Path:
+    """The --out directory, rejected when it is or lies under an existing file."""
+    out = Path(path)
+    for node in (out, *out.parents):
+        if node.is_file():
+            raise ValueError(f"--out {out} cannot be a directory: {node} is a file")
+    return out
+
+
 def _plan(args) -> list[tuple[str, Path, FlowConfig, InitialSpec, dict]]:
     """Every run of a `run`, `verify` or `sweep` command, checked before any runs.
 
@@ -418,10 +416,10 @@ def _plan(args) -> list[tuple[str, Path, FlowConfig, InitialSpec, dict]]:
     run written to --out, or one labelled run per sweep cell, written to the
     cell's subdirectory.
     """
+    out = _output_dir(args.out)
     doc = _load_document(Path(args.config).read_text(encoding="utf-8"))
     if args.snapshot_every is not None:
         doc["snapshot_every"] = args.snapshot_every
-    out = Path(args.out)
     if args.command != "sweep":
         return [("", out, *_config_from_dict(doc))]
     plan = []
@@ -485,6 +483,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_psw(args) -> int:
+    out = _output_dir(args.out)
     length = math.pi
     grid = 4096
     s = np.linspace(0.0, length, grid + 1)
@@ -493,7 +492,6 @@ def _cmd_psw(args) -> int:
         check_psw(np.cos(s), length, "mean-zero"),
         check_psw(np.sin(s), length, "dirichlet"),
     ]
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_reports(out, reports)
     if not args.quiet:

@@ -17,7 +17,7 @@ GHOSTS = 3  # widest stencil is the 7-point fifth derivative: 3 ghosts per side
 
 TWO_PI = 2.0 * np.pi
 
-SPACING_TOL = 0.01  # default relative deviation from uniform spacing the stencils accept
+SPACING_TOL = 0.01  # relative deviation from uniform spacing the stencils accept
 
 # one-sided estimates of f', f''', f''''' at s=0 from samples at h..(m+2)h,
 # second-order accurate; used for boundary residuals where the mirrored
@@ -214,7 +214,7 @@ def _fractions(m: int) -> np.ndarray:
     return f
 
 
-def compute_geometry(curve: DiscreteCurve, spacing_tol: float = SPACING_TOL) -> GeometryProfile:
+def compute_geometry(curve: DiscreteCurve) -> GeometryProfile:
     """Curvature and derivatives of a near-uniformly sampled curve.
 
     Chord angles are extended across each endpoint by the exact reflection
@@ -224,16 +224,16 @@ def compute_geometry(curve: DiscreteCurve, spacing_tol: float = SPACING_TOL) -> 
     boundary nodes.
 
     Raises SpacingError when spacing deviates from uniform by more than
-    spacing_tol (resample first), and ResolutionError when the tangent angle
+    SPACING_TOL (resample first), and ResolutionError when the tangent angle
     turns by more than pi/2 between neighbours.
     """
     pts = curve.points
     ds, raw = _segment_data(pts)
     h = float(ds.mean())
     dev = float(np.abs(ds - h).max())
-    if dev > spacing_tol * h:
+    if dev > SPACING_TOL * h:
         raise SpacingError(
-            f"spacing deviates {dev / h:.3%} from uniform (tolerance {spacing_tol:.1%}); "
+            f"spacing deviates {dev / h:.3%} from uniform (tolerance {SPACING_TOL:.1%}); "
             "resample the curve first"
         )
 
@@ -407,23 +407,19 @@ def _flat_index(rows: int, width: int, size: int) -> np.ndarray:
     return index
 
 
-def _search_sorted_rows(table: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
-    """`np.searchsorted(table[b], queries[b], side)` for every row b at once.
+def _search_sorted_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(table[b], queries[b])` (side "left") for every row b at once.
 
     Both arrays must be sorted along their rows.  One stable merge sort of
-    each row of [table, queries] (queries first for side="left", so they
-    precede equal table entries) places query j after j other queries,
-    so its merged position minus j counts the table entries before it.
+    each row of [queries, table] (queries first, so they precede equal table
+    entries) places query j after j other queries, so its merged position
+    minus j counts the table entries below it.  Side "right" at x is side
+    "left" at np.nextafter(x, np.inf): no float lies between the two.
     """
     rows, size = queries.shape
     width = size + table.shape[1]
-    if side == "left":
-        order = np.argsort(np.concatenate([queries, table], axis=1), axis=1, kind="stable")
-        is_query = order < size
-    else:
-        order = np.argsort(np.concatenate([table, queries], axis=1), axis=1, kind="stable")
-        is_query = order >= table.shape[1]
-    merged_at = np.flatnonzero(is_query).reshape(rows, size)
+    order = np.argsort(np.concatenate([queries, table], axis=1), axis=1, kind="stable")
+    merged_at = np.flatnonzero(order < size).reshape(rows, size)
     return merged_at - _flat_index(rows, width, size)
 
 
@@ -451,7 +447,7 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
         s_flat, t_flat = s.ravel(), t.ravel()
 
         targets = _fractions(m) * s[:, -1:]
-        j = (_search_sorted_rows(s, targets, "right") - 1).clip(0, N - 1) + offset
+        j = (_search_sorted_rows(s, np.nextafter(targets, np.inf)) - 1).clip(0, N - 1) + offset
         s_j, t_j = s_flat[j], t_flat[j]
         j1 = j + 1
         slope = (t_flat[j1] - t_j) / (s_flat[j1] - s_j)
@@ -461,7 +457,7 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
         # flat indices of the four interpolation nodes b..b+3 of every target,
         # formed once for the weights (`_lagrange_weights` reads the gathered
         # parameters as its nodes 0..3) and both coordinates
-        b = (_search_sorted_rows(t, tau, "left") - 2).clip(0, N - 3) + offset
+        b = (_search_sorted_rows(t, tau) - 2).clip(0, N - 3) + offset
         nodes = b + _STENCIL
         w0, w1, w2, w3 = _lagrange_weights(t_flat[nodes], 0, tau)
         out = np.empty((rows, m + 1, 2))

@@ -137,25 +137,12 @@ def make_record(time: float, profile: GeometryProfile, speed: np.ndarray,
     )
 
 
-def _resolve_window(window, size: int) -> tuple[int, int]:
-    if window is None:
-        return 0, size
-    if isinstance(window, slice):
-        start, stop, stride = window.indices(size)
-        if stride != 1:
-            raise ValueError("window must be contiguous (stride 1)")
-        return start, stop
-    start, stop = window
-    if start < 0 or stop > size:
-        raise ValueError(f"window [{start}, {stop}) out of range for {size} samples")
-    return int(start), int(stop)
-
-
 def fit_decay_rate(times: np.ndarray, values: np.ndarray,
-                   window: slice | tuple[int, int] | None = None) -> tuple[float, float]:
+                   window: slice | None = None) -> tuple[float, float]:
     """Least-squares exponential decay rate of a positive series.
 
-    Fits log(value) against time over the index window and returns
+    Fits log(value) against time over the index window (a contiguous slice,
+    such as `decay_window` returns; None for the whole series) and returns
     (rate, r_squared) with rate = -slope, so decaying series give a positive
     rate.  Rejects windows shorter than 5 samples or containing nonpositive
     values (the offending index is named).
@@ -164,7 +151,9 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray,
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-d arrays of equal length")
-    start, stop = _resolve_window(window, t.size)
+    start, stop, stride = (slice(None) if window is None else window).indices(t.size)
+    if stride != 1:
+        raise ValueError("window must be contiguous (stride 1)")
     if stop - start < 5:
         raise ValueError(f"window [{start}, {stop}) has fewer than 5 samples")
     bad = np.nonzero(v[start:stop] <= 0.0)[0]

@@ -81,7 +81,7 @@ class FlowConfig:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         if not self.line_right > self.line_left:
             raise ValueError("line_right must exceed line_left")
-        if self.stop_knorm < 0.0:
+        if not self.stop_knorm >= 0.0:
             raise ValueError(f"stop_knorm must be >= 0, got {self.stop_knorm}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")

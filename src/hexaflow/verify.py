@@ -26,8 +26,13 @@ RESIDUAL_FLOOR = 1e-12    # absolute fallback so 0-vs-0 comparisons stay defined
 # rate at n = 256, and the decayed tail of a run sits entirely below them.
 NOISE_REL = 1e-4
 TOLERANCE_SCALE = 5.0     # identity tolerance = scale * (h^2 + snapshot spacing)
+KSS_TOLERANCE = 0.05      # relative excess the |k_ss|^2 decay inequality may show
 BOUNDARY_SCALE = 100.0    # boundary residual tolerance = scale * h^2
 MIN_SNAPSHOTS = 3         # the identity checks difference three consecutive snapshots
+PSW_TOLERANCE = 1e-3      # excess over 1 a Poincare-type ratio may show
+PSW_MAX_MODE = 8          # highest mode cap of the sample study
+PSW_GRID = 1024           # sample study intervals on [0, PSW_LENGTH]
+PSW_LENGTH = math.pi
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,10 @@ def _centered_dt(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (dt1 * dt1 * fwd + dt2 * dt2 * bwd) / (dt1 * dt2 * (dt1 + dt2))
 
 
-def _snapshot_profiles(trajectory: Trajectory, least: int = MIN_SNAPSHOTS):
+def _snapshot_profiles(trajectory: Trajectory):
     snaps = trajectory.snapshots
-    if len(snaps) < least:
-        raise ValueError(f"need at least {least} snapshots, got {len(snaps)}")
+    if len(snaps) < MIN_SNAPSHOTS:
+        raise ValueError(f"need at least {MIN_SNAPSHOTS} snapshots, got {len(snaps)}")
     times = np.array([snap.time for snap in snaps])
     profiles = [compute_geometry(snap.curve) for snap in snaps]
     return times, profiles
@@ -87,12 +92,12 @@ def _relative_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _identity_report(name: str, times: np.ndarray, profiles: list[GeometryProfile],
-                     series: np.ndarray, rhs: np.ndarray, tolerance: float | None,
-                     what: str, bound_violation: float | None = None) -> CheckReport:
+                     series: np.ndarray, rhs: np.ndarray, what: str,
+                     bound_violation: float | None = None) -> CheckReport:
     """Centered time difference of `series` against `rhs` at interior snapshots.
 
     The residual is the worst relative mismatch, or `bound_violation` where
-    that is larger; the tolerance defaults to the identity tolerance.
+    that is larger; the tolerance is the identity tolerance.
     """
     lhs = _centered_dt(times, series)
     mismatch = _relative_mismatch(lhs, rhs)
@@ -102,12 +107,11 @@ def _identity_report(name: str, times: np.ndarray, profiles: list[GeometryProfil
     if bound_violation is not None:
         residual = max(residual, bound_violation)
         context += f"; decay bound violation {bound_violation:.3g}"
-    tol = _identity_tolerance(times, profiles) if tolerance is None else tolerance
-    return CheckReport(name=name, lhs=float(lhs[worst]), rhs=float(rhs[worst]),
-                       residual=residual, tolerance=float(tol), context=context)
+    return CheckReport(name=name, lhs=float(lhs[worst]), rhs=float(rhs[worst]), residual=residual,
+                       tolerance=float(_identity_tolerance(times, profiles)), context=context)
 
 
-def check_dissipation(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
+def check_dissipation(trajectory: Trajectory) -> CheckReport:
     """Energy dissipation: d/dt of the squared k_s norm equals -2 * integral of F^2.
 
     The left side is a centered difference of the recomputed norm series, the
@@ -118,10 +122,10 @@ def check_dissipation(trajectory: Trajectory, tolerance: float | None = None) ->
     ksn = np.array([integrate(p.k_s * p.k_s, p) for p in profiles])
     diss = np.array([integrate(normal_speed(p) ** 2, p) for p in profiles])
     return _identity_report("dissipation", times, profiles, ksn, -2.0 * diss[1:-1],
-                            tolerance, "d/dt |k_s|^2 vs -2*int(F^2)")
+                            "d/dt |k_s|^2 vs -2*int(F^2)")
 
 
-def check_length_identity(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
+def check_length_identity(trajectory: Trajectory) -> CheckReport:
     """Length decrease: dL/dt equals -|k_ss|^2 + (7/2) * integral of k^2 k_s^2.
 
     Also asserts the sufficient decay bound: whenever the bracket
@@ -144,11 +148,11 @@ def check_length_identity(trajectory: Trajectory, tolerance: float | None = None
         0.0,
     )
     bound_violation = float(np.clip(excess, 0.0, None).max(initial=0.0))
-    return _identity_report("length-identity", times, profiles, length, rhs, tolerance,
+    return _identity_report("length-identity", times, profiles, length, rhs,
                             "dL/dt vs -|k_ss|^2 + 3.5*int(k^2 k_s^2)", bound_violation)
 
 
-def check_k2_identity(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
+def check_k2_identity(trajectory: Trajectory) -> CheckReport:
     """Curvature norm evolution: d/dt |k|^2 equals its five-term quadrature.
 
     The right side is -2|k_sss|^2 + 5*int(k_ss^2 k^2) + 5*int(k_ss k_s^2 k)
@@ -166,11 +170,11 @@ def check_k2_identity(trajectory: Trajectory, tolerance: float | None = None) ->
             + integrate(k_ss * k ** 5, p)
             - 0.5 * integrate(k_s * k_s * k ** 4, p)
         )
-    return _identity_report("k2-identity", times, profiles, knorm2, rhs_all[1:-1], tolerance,
+    return _identity_report("k2-identity", times, profiles, knorm2, rhs_all[1:-1],
                             "d/dt |k|^2 vs five-term quadrature")
 
 
-def check_kss_inequality(trajectory: Trajectory, tolerance: float | None = None) -> CheckReport:
+def check_kss_inequality(trajectory: Trajectory) -> CheckReport:
     """Decay inequality for |k_ss|^2 with the small-energy bracket.
 
     Verifies d/dt |k_ss|^2 <= bracket * |k_s5|^2 - (3/L) |k_ss|^4 at interior
@@ -194,39 +198,36 @@ def check_kss_inequality(trajectory: Trajectory, tolerance: float | None = None)
     excess = (lhs - rhs) / np.maximum(np.abs(rhs), _noise_floor(rhs))
     worst = int(np.argmax(excess))
     residual = float(max(excess[worst], 0.0))
-    tol = 0.05 if tolerance is None else tolerance
     inner = bracket[1:-1]
     return CheckReport(
         name="kss-inequality",
         lhs=float(lhs[worst]),
         rhs=float(rhs[worst]),
         residual=residual,
-        tolerance=float(tol),
+        tolerance=KSS_TOLERANCE,
         context=(f"d/dt |k_ss|^2 <= bracket*|k_s5|^2 - (3/L)|k_ss|^4 at {lhs.size} "
                  f"interior snapshots; bracket in [{inner.min():.4g}, {inner.max():.4g}], "
                  f"negative throughout: {bool((inner < 0.0).all())}"),
     )
 
 
-def check_boundary_hierarchy(profile: GeometryProfile,
-                             tolerance: float | None = None) -> CheckReport:
+def check_boundary_hierarchy(profile: GeometryProfile) -> CheckReport:
     """Contact conditions at the endpoints: odd curvature derivatives vanish.
 
     Reports one-sided estimates of |k_s|, |k_sss|, |k_s5| at both endpoints
     together with the perpendicularity defect of the end chords; passes when
-    all stay below a tolerance scaling as h^2.
+    all stay below BOUNDARY_SCALE * h^2.
     """
     res = boundary_residuals(profile)
     order = ("ks_left", "ks_right", "ksss_left", "ksss_right",
              "ks5_left", "ks5_right", "perp_left", "perp_right")
     values = tuple(float(res[name]) for name in order)
-    tol = BOUNDARY_SCALE * profile.h ** 2 if tolerance is None else tolerance
     return CheckReport(
         name="boundary-hierarchy",
         lhs=values,
         rhs=0.0,
         residual=float(max(values)),
-        tolerance=float(tol),
+        tolerance=float(BOUNDARY_SCALE * profile.h ** 2),
         context="one-sided endpoint residuals, order: " + ", ".join(order),
     )
 
@@ -235,15 +236,15 @@ def _trapezoid(values: np.ndarray, dx: float) -> float:
     return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
-def check_psw(values: np.ndarray, length: float, mode: str = "mean-zero",
-              tolerance: float = 1e-3) -> CheckReport:
+def check_psw(values: np.ndarray, length: float, mode: str = "mean-zero") -> CheckReport:
     """Poincare-type inequalities for a sampled function on [0, length].
 
     For mean-zero samples: int(f^2) <= (L^2/pi^2) int(f_s^2) and
     sup|f|^2 <= (2L/pi) int(f_s^2).  For Dirichlet samples (f = 0 at both
     ends) the same L2 bound holds and the sup bound sharpens to (L/pi).
     Samples must be uniform over [0, length] including the endpoints; the
-    residual is the worst ratio's excess over 1, clamped at 0.
+    residual is the worst ratio's excess over 1, clamped at 0, and passes up
+    to PSW_TOLERANCE.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 9:
@@ -281,28 +282,26 @@ def check_psw(values: np.ndarray, length: float, mode: str = "mean-zero",
         lhs=(float(int_f2), float(sup2)),
         rhs=(float(bound_l2), float(bound_sup)),
         residual=float(residual),
-        tolerance=float(tolerance),
+        tolerance=PSW_TOLERANCE,
         context=(f"{mode} sample, {v.size} points on [0, {length:.6g}]; "
                  f"ratios L2={ratio_l2:.8f}, sup={ratio_sup:.8f}"),
     )
 
 
-def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000, max_mode: int = 8,
-                     grid: int = 1024, length: float = math.pi,
-                     tolerance: float = 1e-3) -> CheckReport:
+def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000) -> CheckReport:
     """Brute-force the Poincare-type inequalities over random trig samples.
 
-    For every mode cap q = 1..max_mode and both sample families (cosine sums
-    are mean-zero, sine sums vanish at the ends), draws seeded Gaussian
-    coefficient vectors and runs check_psw on each sample.  The report
-    carries the worst excess over all samples and enough context to
-    reproduce any offender from the seed.
+    For every mode cap q = 1..PSW_MAX_MODE and both sample families (cosine
+    sums are mean-zero, sine sums vanish at the ends), draws seeded Gaussian
+    coefficient vectors on PSW_GRID + 1 points of [0, PSW_LENGTH] and runs
+    check_psw on each sample.  The report carries the worst excess over all
+    samples and enough context to reproduce any offender from the seed.
     """
     rng = np.random.default_rng(seed)
-    s = np.linspace(0.0, length, grid + 1)
-    modes = np.arange(1, max_mode + 1)
-    cos_basis = np.cos(np.outer(modes, s) * (math.pi / length))
-    sin_basis = np.sin(np.outer(modes, s) * (math.pi / length))
+    s = np.linspace(0.0, PSW_LENGTH, PSW_GRID + 1)
+    modes = np.arange(1, PSW_MAX_MODE + 1)
+    cos_basis = np.cos(np.outer(modes, s) * (math.pi / PSW_LENGTH))
+    sin_basis = np.sin(np.outer(modes, s) * (math.pi / PSW_LENGTH))
     worst: CheckReport | None = None
     worst_label = "none"
     checked = 0
@@ -311,7 +310,7 @@ def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000, max_mode: int 
             coeffs = rng.standard_normal((samples_per_mode, cap))
             fields = coeffs @ basis[:cap]
             for index in range(samples_per_mode):
-                report = check_psw(fields[index], length, family, tolerance)
+                report = check_psw(fields[index], PSW_LENGTH, family)
                 checked += 1
                 if worst is None or report.residual > worst.residual:
                     worst = report
@@ -322,8 +321,8 @@ def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000, max_mode: int 
         lhs=worst.lhs,
         rhs=worst.rhs,
         residual=float(worst.residual),
-        tolerance=float(tolerance),
+        tolerance=PSW_TOLERANCE,
         context=(f"{checked} samples ({samples_per_mode} per mode cap and family, "
-                 f"mode caps 1..{max_mode}, grid {grid}, seed {seed}); "
+                 f"mode caps 1..{PSW_MAX_MODE}, grid {PSW_GRID}, seed {seed}); "
                  f"worst: {worst_label}; {worst.context}"),
     )

@@ -5,12 +5,14 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hexaflow import (
     ConfigError,
@@ -23,7 +25,8 @@ from hexaflow import (
     normal_speed,
     parse_config,
 )
-from hexaflow.cli import CSV_COLUMNS, main, sweep_cells
+import hexaflow.cli
+from hexaflow.cli import _CONFIG_KEYS, CSV_COLUMNS, main, sweep_cells
 
 MINIMAL = "n: 64\nt_end: 0.05\ninit: cosine-graph\n"
 
@@ -431,6 +434,35 @@ class TestMainEntry:
         assert "usage: hexaflow" in proc.stdout
         assert proc.stderr == ""
 
+    def test_nan_stop_knorm_exits_2(self, tmp_path, capsys):
+        # NaN passes a `< 0` test; the run would never stop on curvature and
+        # snapshots.json would hold a bare NaN token, which is not JSON
+        cfg = self._write_config(tmp_path, "stop_knorm: .nan\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "stop_knorm" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep", "psw"])
+    @pytest.mark.parametrize("below", [False, True], ids=["is-file", "under-file"])
+    def test_out_on_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   command, below):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started although --out cannot be written")
+
+        for name in ("run_flow", "run_ensemble", "psw_sample_study"):
+            monkeypatch.setattr(f"hexaflow.cli.{name}", refuse)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / "cells" if below else blocker
+        argv = [command, "--out", str(out), "--quiet"]
+        if command != "psw":
+            argv += ["--config", self._write_config(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{blocker} is a file" in err
+        assert blocker.read_text() == "keep"
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("n: 8\nt_end: 1.0\ninit: flat\n")
@@ -455,3 +487,34 @@ def test_benchmark_tracer_targets_resolve():
     missing = [f"{module}.{attr}" for module, attr in spans.WRAPPED
                if not callable(getattr(sys.modules.get(module), attr, None))]
     assert not missing
+
+
+def _documented_default(text):
+    """MISSING for "required", None for "–", else the YAML value."""
+    if text == "required":
+        return dataclasses.MISSING
+    return None if text == "–" else yaml.safe_load(text)
+
+
+def test_documented_keys_and_defaults_match_the_schema():
+    """README's key table and the cli docstring's key list follow the dataclass fields."""
+    schema = {key: f.default for key, f in _CONFIG_KEYS.items()}
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Key | Default | Meaning |", 1)[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:  # below the rule under the header
+        keys, defaults = line.split("|")[1:3]
+        keys = re.findall(r"`([^`]+)`", keys)
+        values = re.findall(r"`([^`]+)`", defaults) or [defaults.strip()] * len(keys)
+        rows.update({k: _documented_default(v) for k, v in zip(keys, values, strict=True)})
+    assert rows == schema
+
+    listing = hexaflow.cli.__doc__.split("Keys and defaults:", 1)[1].split("\n\n")[1]
+    listed = {}
+    for line in listing.splitlines():
+        key, text = line.split(maxsplit=1)
+        found = re.search(r"\(default (\S+?)[,;)]", text)
+        listed[key] = _documented_default(
+            "required" if "(required" in text else found.group(1) if found else "–")
+    assert listed == schema

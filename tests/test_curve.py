@@ -320,11 +320,13 @@ class TestStackKernels:
     @given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["left", "right"]))
     @settings(max_examples=50, deadline=None)
     def test_row_search_matches_searchsorted(self, seed, side):
-        # small integers make ties between and within the two arrays common
+        # small integers make ties between and within the two arrays common;
+        # side "right" is searched as side "left" at the next float up
         rng = np.random.default_rng(seed)
         table = np.sort(rng.integers(0, 12, (3, 17)), axis=1).astype(float)
         queries = np.sort(rng.integers(-1, 13, (3, 9)), axis=1).astype(float)
-        found = _search_sorted_rows(table, queries, side)
+        shifted = queries if side == "left" else np.nextafter(queries, np.inf)
+        found = _search_sorted_rows(table, shifted)
         for b in range(3):
             assert found[b].tolist() == np.searchsorted(table[b], queries[b], side).tolist()
 

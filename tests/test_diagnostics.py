@@ -158,13 +158,13 @@ class TestFitDecayRate:
         t = np.linspace(0.0, 1.0, 21)
         v = np.exp(-2.0 * t)
         v[:5] = 7.0  # transient garbage outside the window
-        rate, _ = fit_decay_rate(t, v, window=(5, 21))
+        rate, _ = fit_decay_rate(t, v, window=slice(5, 21))
         assert rate == pytest.approx(2.0, abs=1e-10)
 
     def test_rejects_short_window(self):
         t = np.linspace(0.0, 1.0, 21)
         with pytest.raises(ValueError, match="fewer than 5"):
-            fit_decay_rate(t, np.exp(-t), window=(0, 4))
+            fit_decay_rate(t, np.exp(-t), window=slice(0, 4))
 
     def test_rejects_nonpositive_value_naming_index(self):
         t = np.linspace(0.0, 1.0, 11)

@@ -160,7 +160,7 @@ class TestStep:
     def test_geometry_failure_becomes_rejection(
         self, cosine_curve, cosine_profile, monkeypatch
     ):
-        def broken(curve, spacing_tol=0.01):
+        def broken(curve):
             raise SpacingError("forced failure")
 
         monkeypatch.setattr("hexaflow.flow.compute_geometry", broken)

@@ -149,11 +149,6 @@ class TestBoundaryHierarchy:
             abs(math.sin(math.atan(0.2))), rel=1e-10
         )
 
-    def test_explicit_tolerance_override(self, cosine_profile):
-        report = check_boundary_hierarchy(cosine_profile, tolerance=1e-12)
-        assert not report.passed
-        assert report.tolerance == 1e-12
-
 
 class TestPoincareChecks:
     def test_mean_zero_eigenfunction_is_sharp(self):
