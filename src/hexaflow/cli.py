@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .curve import DiscreteCurve, compute_geometry, integrate, resample_uniform
+from .curve import DiscreteCurve, check_lines, compute_geometry, integrate, resample_uniform
 from .diagnostics import C0_PI3, Trajectory, small_energy_margin
 from .flow import FlowConfig, run_ensemble, run_flow
 from .verify import (
@@ -92,8 +92,7 @@ class InitialSpec:
             raise ValueError(f"unknown initial kind {self.kind!r}")
         if self.n < 16:
             raise ValueError(f"n must be >= 16, got {self.n}")
-        if not self.line_right > self.line_left:
-            raise ValueError("line_right must exceed line_left")
+        check_lines(self.line_left, self.line_right)
         if self.kind == "cosine-graph":
             half_gap = 0.5 * (self.line_right - self.line_left)
             if not 0.0 <= self.amplitude < half_gap:
@@ -249,10 +248,10 @@ def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
     Keys, defaults, types and the constraints on values are those of
     FlowConfig and InitialSpec.
     """
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    unknown = sorted(map(repr, set(doc) - set(_CONFIG_KEYS)))
     if unknown:
         raise ConfigError("unknown key" + ("s" if len(unknown) > 1 else "")
-                          + " " + ", ".join(repr(k) for k in unknown))
+                          + " " + ", ".join(unknown))
 
     echo = {key: f.default for key, f in _CONFIG_KEYS.items() if f.default is not MISSING}
     echo.update(doc)
@@ -341,7 +340,7 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
     meta = {k: v for k, v in trajectory.metadata.items() if k != "wall_time"}
     meta["schema_version"] = SCHEMA_VERSION
     frames = [
-        {"t": snap.time, "points": [[float(x), float(y)] for x, y in snap.curve.points]}
+        {"t": snap.time, "points": snap.curve.points.tolist()}
         for snap in trajectory.snapshots
     ]
     written.append(_write_json(out / "snapshots.json", {"meta": meta, "frames": frames}))
@@ -352,8 +351,7 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
 
 def _write_json(path: Path, document: dict) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
     return path
 
 

@@ -8,6 +8,7 @@ odd-order derivative conditions at the boundary hold by stencil symmetry.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -47,6 +48,17 @@ class ResolutionError(CurveError):
     """Tangent angle jumps by more than pi/2 between neighbours; refine the curve."""
 
 
+def check_lines(line_left: float, line_right: float) -> None:
+    """Reject boundary lines that are not finite, not ordered, or whose gap overflows."""
+    for name, value in (("line_left", line_left), ("line_right", line_right)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not line_right > line_left:
+        raise ValueError(f"line_right ({line_right}) must exceed line_left ({line_left})")
+    if not math.isfinite(line_right - line_left):
+        raise ValueError(f"line_right - line_left overflows: {line_right} - ({line_left})")
+
+
 @dataclass(frozen=True)
 class DiscreteCurve:
     """Polyline with endpoints pinned exactly to two vertical lines."""
@@ -63,12 +75,7 @@ class DiscreteCurve:
             raise ValueError(f"need at least 17 nodes (n >= 16), got {pts.shape[0]}")
         if not np.isfinite(pts).all():
             raise ValueError("points contain non-finite values")
-        if not (np.isfinite(self.line_left) and np.isfinite(self.line_right)):
-            raise ValueError("boundary lines must be finite")
-        if not self.line_right > self.line_left:
-            raise ValueError(
-                f"line_right ({self.line_right}) must exceed line_left ({self.line_left})"
-            )
+        check_lines(self.line_left, self.line_right)
         if pts[0, 0] != self.line_left or pts[-1, 0] != self.line_right:
             raise ValueError("endpoints must lie exactly on their boundary lines")
         pts.setflags(write=False)
@@ -178,30 +185,39 @@ def _curvature(phi_e: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return k, theta
 
 
-def _curvature_derivatives(k: np.ndarray, h) -> np.ndarray:
-    """Arc-length derivatives of k of orders 1..5, shape (5,) + k.shape.
+def _stencil_taps(k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The seven neighbours k[j-3] .. k[j+3] of every node j on the even extension of k.
 
-    The even extension of k about both end nodes reproduces the curvature of
-    the mirror-extended node set exactly; central stencils on it make the odd
-    orders vanish at the end nodes.  `h` broadcasts against k[..., :1].
+    The even extension about both end nodes reproduces the curvature of the
+    mirror-extended node set exactly; central stencils on it make the odd
+    orders vanish at the end nodes.  Odd-order stencils difference mirrored
+    pairs first so that the even extension cancels bitwise there.
     """
     k_e = np.concatenate([k[..., GHOSTS:0:-1], k, k[..., -2:-2 - GHOSTS:-1]], axis=-1)
-    m3, m2, m1 = k_e[..., :-6], k_e[..., 1:-5], k_e[..., 2:-4]
-    p1, p2, p3 = k_e[..., 4:-2], k_e[..., 5:-1], k_e[..., 6:]
-    c = k_e[..., 3:-3]
+    return (k_e[..., :-6], k_e[..., 1:-5], k_e[..., 2:-4], k_e[..., 3:-3],
+            k_e[..., 4:-2], k_e[..., 5:-1], k_e[..., 6:])
+
+
+def _speed_derivatives(taps: tuple[np.ndarray, ...], h) -> tuple[np.ndarray, ...]:
+    """k_s, k_ss and k_s4, the arc-length derivatives of k the normal speed uses.
+
+    `h` broadcasts against the taps' node axis.
+    """
+    m3, m2, m1, c, p1, p2, p3 = taps
+    h2 = h * h
+    return ((p1 - m1) / (2.0 * h),
+            (p1 - 2.0 * c + m1) / h2,
+            (p2 - 4.0 * p1 + 6.0 * c - 4.0 * m1 + m2) / (h2 * h2))
+
+
+def _odd_derivatives(taps: tuple[np.ndarray, ...], h) -> tuple[np.ndarray, np.ndarray]:
+    """k_sss and k_s5, which only the diagnostics and checks read."""
+    m3, m2, m1, c, p1, p2, p3 = taps
     h2 = h * h
     h3 = h2 * h
-    # Odd-order stencils difference mirrored pairs first so that the even
-    # extension cancels bitwise at the endpoints.
     d1 = p1 - m1
     d2 = p2 - m2
-    out = np.empty((5,) + k.shape)
-    out[0] = d1 / (2.0 * h)
-    out[1] = (p1 - 2.0 * c + m1) / h2
-    out[2] = (d2 - 2.0 * d1) / (2.0 * h3)
-    out[3] = (p2 - 4.0 * p1 + 6.0 * c - 4.0 * m1 + m2) / (h2 * h2)
-    out[4] = ((p3 - m3) - 4.0 * d2 + 5.0 * d1) / (2.0 * h2 * h3)
-    return out
+    return (d2 - 2.0 * d1) / (2.0 * h3), ((p3 - m3) - 4.0 * d2 + 5.0 * d1) / (2.0 * h2 * h3)
 
 
 @lru_cache(maxsize=8)
@@ -251,7 +267,10 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryProfile:
         )
 
     k, theta = _curvature(phi_e, ds)
-    k_derivs = _curvature_derivatives(k, h)
+    taps = _stencil_taps(k)
+    k_derivs = np.empty((5,) + k.shape)  # orders 1..5
+    k_derivs[0], k_derivs[1], k_derivs[3] = _speed_derivatives(taps, h)
+    k_derivs[2], k_derivs[4] = _odd_derivatives(taps, h)
     s = _running_sum(ds)
     for arr in (s, ds, phi, theta, k, k_derivs):
         arr.setflags(write=False)
@@ -313,8 +332,8 @@ def compute_geometry_stack(points: np.ndarray) -> GeometryStack:
                                       np.abs(phi_e[:, -2] - phi_e[:, -1])))
         valid &= worst <= 0.5 * np.pi
         k, theta = _curvature(phi_e, ds)
-        k_derivs = _curvature_derivatives(k, h[:, None])
-    return GeometryStack(valid, h, theta, k, k_derivs[0], k_derivs[1], k_derivs[3])
+        k_s, k_ss, k_s4 = _speed_derivatives(_stencil_taps(k), h[:, None])
+    return GeometryStack(valid, h, theta, k, k_s, k_ss, k_s4)
 
 
 def integrate(values: np.ndarray, profile: GeometryProfile) -> float:

@@ -19,6 +19,10 @@ compacted only when curves finish.  Each curve of an ensemble keeps its own
 step size, clock, rejections, snapshots and termination.  The loops and the
 solves stay separate because running a single curve as an ensemble of one
 would change the cost of every `run` and `verify`.
+
+scipy serves only the banded solve: `step` imports `solve_banded` when it
+first runs, so importing this module, and every ensemble run, never loads
+scipy.
 """
 from __future__ import annotations
 
@@ -28,13 +32,13 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .curve import (
     DiscreteCurve,
     GeometryProfile,
     GeometryStack,
     _pin,
+    check_lines,
     compute_geometry,
     compute_geometry_stack,
     resample_uniform,
@@ -79,8 +83,7 @@ class FlowConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        if not self.line_right > self.line_left:
-            raise ValueError("line_right must exceed line_left")
+        check_lines(self.line_left, self.line_right)
         if not self.stop_knorm >= 0.0:
             raise ValueError(f"stop_knorm must be >= 0, got {self.stop_knorm}")
         if self.max_steps < 1:
@@ -201,6 +204,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    from scipy.linalg import solve_banded  # single runs only; cached after the first step
+
     profile = state.profile
     curve = state.curve
     n = curve.n

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,9 @@ import yaml
 
 from hexaflow import (
     ConfigError,
+    DiscreteCurve,
     InitialSpec,
+    Snapshot,
     Trajectory,
     compute_geometry,
     emit,
@@ -97,6 +101,16 @@ class TestParseConfig:
     def test_infinite_horizon_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             parse_config("n: 64\nt_end: .inf\ninit: cosine-graph\n")
+
+    @pytest.mark.parametrize("lines, key", [
+        ({"line_left": -np.inf}, "line_left"),
+        ({"line_right": np.nan}, "line_right"),
+        ({"line_left": -1e308, "line_right": 1e308}, "line_right - line_left"),
+    ], ids=["infinite", "nan", "gap-overflows"])
+    def test_initial_lines_must_be_finite_with_a_finite_gap(self, lines, key):
+        for kind in ("flat", "cosine-graph"):
+            with pytest.raises(ValueError, match=re.escape(key)):
+                InitialSpec(kind=kind, **lines)
 
 
 class TestGenerateInitial:
@@ -210,6 +224,33 @@ class TestEmit:
         assert len(lines) == 1
         doc = json.loads((tmp_path / "snapshots.json").read_text())
         assert doc["frames"] == []
+
+    def test_snapshots_match_the_streaming_encoder_bytes(self, flat_curve, tmp_path):
+        # the reference: each node through float() and the streaming encoder
+        points = flat_curve.points.copy()
+        points[1:6, 1] = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, -1.5e-17]
+        points[7, 0] += 0.1 + 0.2 - 0.3
+        curve = DiscreteCurve(points, flat_curve.line_left, flat_curve.line_right)
+        profile = compute_geometry(flat_curve)
+        record = make_record(0.0, profile, normal_speed(profile), profile.length)
+        snapshots = tuple(Snapshot(t, c, record)
+                          for t, c in ((0.0, flat_curve), (0.1 + 0.2, curve)))
+        metadata = {"termination": "t_end", "steps": 3, "final_time": 0.1 + 0.2,
+                    "rejections": 0, "wall_time": 1.25, "config": {"A": 1e-300, "m": 1}}
+        emit(Trajectory(snapshots, metadata), None, tmp_path)
+
+        meta = {k: v for k, v in metadata.items() if k != "wall_time"}
+        meta["schema_version"] = 1
+        frames = [{"t": snap.time,
+                   "points": [[float(x), float(y)] for x, y in snap.curve.points]}
+                  for snap in snapshots]
+        stream = io.StringIO()
+        json.dump({"meta": meta, "frames": frames}, stream, sort_keys=True,
+                  separators=(",", ":"))
+        expected = (stream.getvalue() + "\n").encode("utf-8")
+        assert (tmp_path / "snapshots.json").read_bytes() == expected
+        assert b",-0.0]" in expected and b",5e-324]" in expected
+        assert b"0.30000000000000004" in expected
 
     def test_round_trip_reproduces_record(self, short_run, tmp_path):
         emit(short_run, None, tmp_path)
@@ -463,6 +504,29 @@ class TestMainEntry:
         assert err.count("\n") == 1 and f"{blocker} is a file" in err
         assert blocker.read_text() == "keep"
 
+    def test_unknown_keys_of_mixed_types_exit_2(self, tmp_path, capsys):
+        # YAML reads the key 1 as an int, which does not sort among str keys
+        cfg = self._write_config(tmp_path, "1: a\nb: 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: unknown keys 'b', 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("line_left: -.inf\n", "line_left"),
+        ("line_left: -1e308\nline_right: 1e308\n", "line_right - line_left"),
+    ], ids=["infinite", "gap-overflows"])
+    def test_lines_that_overflow_exit_2(self, tmp_path, capsys, lines, key):
+        cfg = self._write_config(tmp_path, lines)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("n: 8\nt_end: 1.0\ninit: flat\n")
@@ -474,6 +538,59 @@ class TestMainEntry:
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+COMMAND_SCRIPT = """
+import sys
+{prelude}
+import hexaflow.cli
+print("scipy after import:", "scipy" in sys.modules)
+code = hexaflow.cli.main([{command!r}, "--config", {config!r}, "--out", {out!r}, "--quiet"])
+print("exit:", code)
+print("scipy after command:", "scipy" in sys.modules)
+"""
+
+
+def _fresh_command(tmp_path, command: str, prelude: str = "") -> tuple[Path, dict]:
+    """Run one command in a new interpreter; its --out and what it printed."""
+    config = tmp_path / "config.yaml"
+    # both cells of each n step as one ensemble
+    config.write_text("n: [32, 48]\nt_end: 0.002\ninit: cosine-graph\nA: [0.02, 0.05]\n"
+                      if command == "sweep" else MINIMAL)
+    out = tmp_path / "out"
+    script = COMMAND_SCRIPT.format(prelude=prelude, command=command, config=str(config),
+                                   out=str(out))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return out, dict(line.split(": ") for line in proc.stdout.splitlines())
+
+
+def test_import_and_sweep_never_load_scipy(tmp_path):
+    """scipy is the single-run banded solver; ensembles and the CLI import never need it."""
+    out, printed = _fresh_command(tmp_path, "sweep")
+    assert printed == {"scipy after import": "False", "exit": "0",
+                       "scipy after command": "False"}
+    assert len([p for p in out.iterdir() if (p / "snapshots.json").is_file()]) == 4
+
+
+def test_sweep_runs_with_scipy_blocked(tmp_path):
+    out, printed = _fresh_command(tmp_path, "sweep", 'sys.modules["scipy"] = None')
+    assert printed["exit"] == "0"
+    cells = sorted(p.name for p in out.iterdir())
+    assert cells == ["A0.02_m1_n32", "A0.02_m1_n48", "A0.05_m1_n32", "A0.05_m1_n48"]
+    for cell in cells:
+        assert {p.name for p in (out / cell).iterdir()} == {"diagnostics.csv",
+                                                             "snapshots.json"}
+
+
+def test_single_run_loads_scipy_at_its_first_step(tmp_path):
+    _, printed = _fresh_command(tmp_path, "run")
+    assert printed == {"scipy after import": "False", "exit": "0",
+                       "scipy after command": "True"}
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ class TestFlowConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FlowConfig(**kwargs)
+
+    @pytest.mark.parametrize("lines, key", [
+        ({"line_left": -np.inf}, "line_left"),
+        ({"line_right": np.nan}, "line_right"),
+        ({"line_left": -1e308, "line_right": 1e308}, "line_right - line_left"),
+    ], ids=["infinite", "nan", "gap-overflows"])
+    def test_lines_must_be_finite_with_a_finite_gap(self, lines, key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            FlowConfig(n=128, t_end=1.0, **lines)
 
 
 class TestRunFlow:
