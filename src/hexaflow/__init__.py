@@ -34,12 +34,9 @@ from .diagnostics import (
 )
 from .flow import (
     FlowConfig,
-    FlowState,
-    StepRejected,
     normal_speed,
     run_ensemble,
     run_flow,
-    select_dt,
     step,
 )
 from .verify import (
@@ -79,12 +76,9 @@ __all__ = [
     "small_energy_margin",
     "winding_number",
     "FlowConfig",
-    "FlowState",
-    "StepRejected",
     "normal_speed",
     "run_ensemble",
     "run_flow",
-    "select_dt",
     "step",
     "CheckReport",
     "check_boundary_hierarchy",

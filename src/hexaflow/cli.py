@@ -21,8 +21,8 @@ a field without a default is a required key.  Keys and defaults:
   m               cosine mode, integer >= 1 (default 1)
   dt_safety       step factor in (0, 1] (default 0.1)
   snapshot_every  steps between snapshots (default 100)
-  line_left       left boundary line abscissa (default -1.0)
-  line_right      right boundary line abscissa (default 1.0)
+  line_left       left boundary line abscissa (default -1.0; within +-1e12)
+  line_right      right boundary line abscissa (default 1.0; at least 1e-12 right of line_left)
   stop_knorm      terminate when sup|k| drops below this (default 0, disabled)
   max_steps       step cap (default 10000000)
   path            source file for custom-file initial data
@@ -361,12 +361,11 @@ def _write_reports(out: Path, reports: list[CheckReport]) -> Path:
                         "reports": [asdict(report) for report in reports]})
 
 
-def _margin_summary(curve: DiscreteCurve) -> str:
-    profile = compute_geometry(curve)
-    ksnorm2 = integrate(profile.k_s ** 2, profile)
-    margin = small_energy_margin(ksnorm2, profile.length)
-    return (f"small-energy margin delta = {margin:.6g} "
-            f"(|k_s|^2 L0^3 = {ksnorm2 * profile.length ** 3:.6g}, "
+def _margin_summary(trajectory: Trajectory) -> str:
+    """The small-energy margin of the initial curve, from the run's first record."""
+    first = trajectory.snapshots[0].record
+    return (f"small-energy margin delta = {first.delta_margin:.6g} "
+            f"(|k_s|^2 L0^3 = {first.ksnorm2 * first.length ** 3:.6g}, "
             f"threshold = {C0_PI3:.6g})")
 
 
@@ -442,9 +441,6 @@ def _cmd_flow(args) -> int:
     failed = False
     too_few = False
     for config, runs in groups.items():
-        if not args.quiet:
-            for label, _, _, initial in runs:
-                print(f"{label}{_margin_summary(initial)}")
         extras = [{"config": echo} for _, _, echo, _ in runs]
         if len(runs) == 1:
             trajectories = [run_flow(config, runs[0][3], extra_metadata=extras[0])]
@@ -458,6 +454,7 @@ def _cmd_flow(args) -> int:
             emit(trajectory, reports, out)
             status = trajectory.metadata["termination"]
             if not args.quiet:
+                print(f"{label}{_margin_summary(trajectory)}")
                 _print_summary(trajectory)
                 if reports is not None:
                     _print_reports(reports)

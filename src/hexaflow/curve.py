@@ -20,6 +20,12 @@ TWO_PI = 2.0 * np.pi
 
 SPACING_TOL = 0.01  # relative deviation from uniform spacing the stencils accept
 
+# lines lie within +-LINE_SCALE and at least 1/LINE_SCALE apart: the step
+# raises lengths to the sixth power and the checks square fifth derivatives,
+# so a gap of 2e-30 makes `verify` underflow and one of 2e-60 or 2e60 breaks
+# the step's h**6
+LINE_SCALE = 1e12
+
 # one-sided estimates of f', f''', f''''' at s=0 from samples at h..(m+2)h,
 # second-order accurate; used for boundary residuals where the mirrored
 # stencils vanish identically and would hide a violated contact condition
@@ -49,14 +55,26 @@ class ResolutionError(CurveError):
 
 
 def check_lines(line_left: float, line_right: float) -> None:
-    """Reject boundary lines that are not finite, not ordered, or whose gap overflows."""
-    for name, value in (("line_left", line_left), ("line_right", line_right)):
+    """Reject boundary lines that are not finite, not ordered, or out of scale.
+
+    Out of scale are a gap that overflows, a line beyond +-LINE_SCALE and a
+    gap below 1/LINE_SCALE.
+    """
+    lines = (("line_left", line_left), ("line_right", line_right))
+    for name, value in lines:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not line_right > line_left:
         raise ValueError(f"line_right ({line_right}) must exceed line_left ({line_left})")
-    if not math.isfinite(line_right - line_left):
+    gap = line_right - line_left
+    if not math.isfinite(gap):
         raise ValueError(f"line_right - line_left overflows: {line_right} - ({line_left})")
+    for name, value in lines:
+        if abs(value) > LINE_SCALE:
+            raise ValueError(f"{name} must lie within +-{LINE_SCALE:g}, got {value}")
+    if gap < 1.0 / LINE_SCALE:
+        raise ValueError(f"line_right - line_left must be at least {1.0 / LINE_SCALE:g}, "
+                         f"got {gap}")
 
 
 @dataclass(frozen=True)
@@ -145,9 +163,18 @@ def _segment_data(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _turns(raw: np.ndarray) -> np.ndarray:
-    """Turns at the interior nodes: chord-angle differences wrapped into [-pi, pi)."""
-    turns = raw[..., 1:] - raw[..., :-1]
-    return (turns + np.pi) % TWO_PI - np.pi
+    """Turns at the interior nodes: chord-angle differences wrapped into [-pi, pi).
+
+    The wrap is (turn + pi) mod 2 pi - pi.  The remainder returns its argument
+    unchanged when every turn + pi lies in [0, 2 pi), as on any curve the
+    geometry accepts, so it is taken only when one does not.
+    """
+    shifted = raw[..., 1:] - raw[..., :-1]
+    shifted += np.pi
+    if not (shifted.min(initial=0.0) >= 0.0 and shifted.max(initial=0.0) < TWO_PI):
+        np.remainder(shifted, TWO_PI, out=shifted)
+    shifted -= np.pi
+    return shifted
 
 
 def _unwrap(raw: np.ndarray, turns: np.ndarray) -> np.ndarray:
@@ -163,14 +190,20 @@ def _unwrap(raw: np.ndarray, turns: np.ndarray) -> np.ndarray:
     return phi_e
 
 
-def _ghost_angle(phi_end):
-    """Angle of the mirror ghost of an end chord, and the pi-multiple of the contact.
+def _set_ghosts(phi_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the two end entries of (..., n+2) chord angles with the mirror ghost angles.
 
     Mirror ghosts reflect an end chord through its contact branch; one ghost
-    angle per side is enough to evaluate curvature at every node.
+    angle per side is enough to evaluate curvature at every node.  Returns,
+    for both ends along a last axis of 2, the jump |end chord - ghost| and
+    the pi-multiple of the contact.
     """
-    branch = np.rint(phi_end / np.pi)
-    return TWO_PI * branch - phi_end, branch
+    last = phi_e.shape[-1] - 1
+    ends = phi_e[..., 1:last:last - 2]
+    branch = np.rint(ends / np.pi)
+    ghosts = TWO_PI * branch - ends
+    phi_e[..., ::last] = ghosts
+    return np.abs(ends - ghosts), branch
 
 
 def _curvature(phi_e: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +289,8 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryProfile:
     turns = _turns(raw)
     phi_e = _unwrap(raw, turns)
     phi = phi_e[1:-1]
-    phi_e[0], m_left = _ghost_angle(phi[0])
-    phi_e[-1], m_right = _ghost_angle(phi[-1])
-    worst = max(float(np.abs(turns).max(initial=0.0)),
-                abs(phi[0] - phi_e[0]), abs(phi[-1] - phi_e[-1]))
+    jumps, (m_left, m_right) = _set_ghosts(phi_e)
+    worst = max(float(np.abs(turns).max(initial=0.0)), float(jumps.max()))
     if worst > 0.5 * np.pi:
         raise ResolutionError(
             f"tangent angle jumps by {worst:.3f} rad (> pi/2); curve is under-resolved "
@@ -325,11 +356,8 @@ def compute_geometry_stack(points: np.ndarray) -> GeometryStack:
         valid &= np.abs(ds - h[:, None]).max(axis=1) <= SPACING_TOL * h
         turns = _turns(raw)
         phi_e = _unwrap(raw, turns)
-        phi_e[:, 0], _ = _ghost_angle(phi_e[:, 1])
-        phi_e[:, -1], _ = _ghost_angle(phi_e[:, -2])
-        worst = np.maximum(np.abs(turns).max(axis=1, initial=0.0),
-                           np.maximum(np.abs(phi_e[:, 1] - phi_e[:, 0]),
-                                      np.abs(phi_e[:, -2] - phi_e[:, -1])))
+        jumps, _ = _set_ghosts(phi_e)
+        worst = np.maximum(np.abs(turns).max(axis=1, initial=0.0), jumps.max(axis=1))
         valid &= worst <= 0.5 * np.pi
         k, theta = _curvature(phi_e, ds)
         k_s, k_ss, k_s4 = _speed_derivatives(_stencil_taps(k), h[:, None])
@@ -365,15 +393,24 @@ def boundary_residuals(profile: GeometryProfile) -> dict[str, float]:
     return residuals
 
 
-def _lagrange_weights(t: np.ndarray, b: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Weights of the nodes b..b+3 in the 4-point Lagrange interpolant at parameters tau."""
-    t0, t1, t2, t3 = t[b], t[b + 1], t[b + 2], t[b + 3]
+def _lagrange_weights(t: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weights w0, -w1, w2, -w3 of the nodes t[0..3] in the 4-point Lagrange interpolant at tau.
+
+    The interpolant is w0 c0 - (-w1) c1 + w2 c2 - (-w3) c3.  The denominators
+    are products of the six node differences t_i - t_j, i < j, for
+    t_j - t_i = -(t_i - t_j) exactly: w1 and w3 carry one such sign flip,
+    which the minus signs of the combination take back, w2 carries two.  So
+    the interpolant has the bits of the textbook formula wherever the
+    denominators are nonzero.
+    """
+    t0, t1, t2, t3 = t
     d0, d1, d2, d3 = tau - t0, tau - t1, tau - t2, tau - t3
-    w0 = d1 * d2 * d3 / ((t0 - t1) * (t0 - t2) * (t0 - t3))
-    w1 = d0 * d2 * d3 / ((t1 - t0) * (t1 - t2) * (t1 - t3))
-    w2 = d0 * d1 * d3 / ((t2 - t0) * (t2 - t1) * (t2 - t3))
-    w3 = d0 * d1 * d2 / ((t3 - t0) * (t3 - t1) * (t3 - t2))
-    return w0, w1, w2, w3
+    t01, t02, t03, t12, t13, t23 = t0 - t1, t0 - t2, t0 - t3, t1 - t2, t1 - t3, t2 - t3
+    d01 = d0 * d1
+    return (d1 * d2 * d3 / (t01 * t02 * t03),
+            d0 * d2 * d3 / (t01 * t12 * t13),
+            d01 * d3 / (t02 * t12 * t23),
+            d01 * d2 / (t03 * t13 * t23))
 
 
 def _arc_and_chord(ds: np.ndarray, turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,6 +424,11 @@ def _arc_and_chord(ds: np.ndarray, turns: np.ndarray) -> tuple[np.ndarray, np.nd
     psi[..., 0] = turns[..., 0]
     psi[..., -1] = turns[..., -1]
     return _running_sum(ds * (1.0 + psi * psi / 24.0)), _running_sum(ds)
+
+
+def _clamp(index: np.ndarray, top: int) -> np.ndarray:
+    """`index.clip(0, top)` in place, by the ufuncs without `clip`'s Python-level wrapper."""
+    return np.minimum(np.maximum(index, 0, out=index), top, out=index)
 
 
 def _pin(points: np.ndarray, line_left: float, line_right: float) -> None:
@@ -403,19 +445,10 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     pulled back to the chord parameter, where the piecewise 4-point Lagrange
     interpolant is evaluated.  Endpoints are preserved exactly.
     """
-    pts = curve.points
-    ds, raw = _segment_data(pts)
-    s, t = _arc_and_chord(ds, _turns(raw))
-    tau = np.interp(_fractions(m) * s[-1], s, t)
-    seg = (np.searchsorted(t, tau) - 1).clip(0, ds.size - 1)
-    b = (seg - 1).clip(0, ds.size - 3)
-    w0, w1, w2, w3 = _lagrange_weights(t, b, tau)
-    out = (w0[:, None] * pts[b] + w1[:, None] * pts[b + 1]
-           + w2[:, None] * pts[b + 2] + w3[:, None] * pts[b + 3])
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    _pin(out, curve.line_left, curve.line_right)
-    return DiscreteCurve(out, curve.line_left, curve.line_right)
+    out, valid = resample_uniform_stack(curve.points[None], m, curve.line_left, curve.line_right)
+    if not valid[0]:
+        _segment_data(curve.points)  # names a pair of coincident nodes, if there is one
+    return DiscreteCurve(out[0], curve.line_left, curve.line_right)
 
 
 @lru_cache(maxsize=64)
@@ -433,9 +466,12 @@ def _search_sorted_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     each row of [queries, table] (queries first, so they precede equal table
     entries) places query j after j other queries, so its merged position
     minus j counts the table entries below it.  Side "right" at x is side
-    "left" at np.nextafter(x, np.inf): no float lies between the two.
+    "left" at np.nextafter(x, np.inf): no float lies between the two.  A
+    single row goes to `np.searchsorted` itself.
     """
     rows, size = queries.shape
+    if rows == 1:
+        return np.searchsorted(table[0], queries[0])[None]
     width = size + table.shape[1]
     order = np.argsort(np.concatenate([queries, table], axis=1), axis=1, kind="stable")
     merged_at = np.flatnonzero(order < size).reshape(rows, size)
@@ -449,11 +485,11 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
                            line_right: float) -> tuple[np.ndarray, np.ndarray]:
     """`resample_uniform` of every curve in a (B, n+1, 2) stack at once.
 
-    Returns the (B, m+1, 2) resampled nodes, each row equal to the
-    single-curve result exactly (the interpolation below repeats the
-    arithmetic of `np.interp`), and a (B,) mask that is False where that
-    function would reject the curve: non-finite nodes or a degenerate
-    segment, before or after resampling.
+    Returns the (B, m+1, 2) resampled nodes and a (B,) mask that is False
+    where `resample_uniform` rejects the curve: non-finite nodes or a
+    degenerate segment, before or after resampling.  The arc targets are
+    pulled back by the arithmetic of `np.interp`, repeated along the batch
+    axis, so no row depends on another.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         ds, raw = _chords(points)
@@ -466,7 +502,7 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
         s_flat, t_flat = s.ravel(), t.ravel()
 
         targets = _fractions(m) * s[:, -1:]
-        j = (_search_sorted_rows(s, np.nextafter(targets, np.inf)) - 1).clip(0, N - 1) + offset
+        j = _clamp(_search_sorted_rows(s, np.nextafter(targets, np.inf)) - 1, N - 1) + offset
         s_j, t_j = s_flat[j], t_flat[j]
         j1 = j + 1
         slope = (t_flat[j1] - t_j) / (s_flat[j1] - s_j)
@@ -474,15 +510,13 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
         tau[:, -1] = t[:, -1]
 
         # flat indices of the four interpolation nodes b..b+3 of every target,
-        # formed once for the weights (`_lagrange_weights` reads the gathered
-        # parameters as its nodes 0..3) and both coordinates
-        b = (_search_sorted_rows(t, tau) - 2).clip(0, N - 3) + offset
-        nodes = b + _STENCIL
-        w0, w1, w2, w3 = _lagrange_weights(t_flat[nodes], 0, tau)
+        # formed once for their parameters and for both coordinates
+        nodes = _clamp(_search_sorted_rows(t, tau) - 2, N - 3) + offset + _STENCIL
+        w0, w1, w2, w3 = _lagrange_weights(t_flat[nodes], tau)
         out = np.empty((rows, m + 1, 2))
         for axis in range(2):
             c = points[..., axis].ravel()[nodes]
-            out[..., axis] = w0 * c[0] + w1 * c[1] + w2 * c[2] + w3 * c[3]
+            out[..., axis] = w0 * c[0] - w1 * c[1] + w2 * c[2] - w3 * c[3]
         out[:, 0] = points[:, 0]
         out[:, -1] = points[:, -1]
         _pin(out, line_left, line_right)

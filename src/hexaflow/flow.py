@@ -6,23 +6,29 @@ difference of position (an explicit method would need dt of order h^6),
 solves one septa-diagonal system per coordinate, re-pins the endpoints and
 resamples to uniform spacing.
 
-Two run loops share that scheme and its formulas: the right-hand side, the
-endpoint re-pinning, and the geometry and resampling kernels of `curve`,
-each written once over a leading batch axis.  `run_flow` steps one curve and
-solves the two banded systems with `solve_banded`.  `run_ensemble` steps a
-stack of curves that share one configuration in lockstep: both
-mirror-folded systems, which are circulant on the 2n-periodic mirror
-extension, are solved for every curve by one real FFT pair.  Each lockstep
-step is one `_step_stack` call on the whole stack of running curves; only
-the rows it rejects are stepped again, at halved dt, and the stack is
-compacted only when curves finish.  Each curve of an ensemble keeps its own
-step size, clock, rejections, snapshots and termination.  The loops and the
-solves stay separate because running a single curve as an ensemble of one
-would change the cost of every `run` and `verify`.
+One step, two loops.  `_advance` steps a (B, n+1, 2) stack of curves: the
+right-hand side, the re-pinning and the geometry and resampling kernels of
+`curve`, each written once over the batch axis, with a validity mask where a
+curve is rejected; only the solve is passed in.  `run_flow` steps one curve
+as a stack of one through `step`, which solves both systems with scipy's
+`solve_banded`.  `run_ensemble` steps the curves that share a configuration
+in lockstep, one `_advance` call on the whole stack of running curves per
+step, and solves every member's mirror-folded systems, circulant on the
+2n-periodic mirror extension, by one real FFT pair; only rejected members
+are stepped again, at halved dt, and the stack is compacted only when
+members finish.  Each curve of an ensemble keeps its own step size, clock,
+rejections, snapshots and termination.
 
-scipy serves only the banded solve: `step` imports `solve_banded` when it
-first runs, so importing this module, and every ensemble run, never loads
-scipy.
+The loops stay two because numpy's array powers and Python's float powers
+differ in the last bit: of 200,000 random values of h within 1% of 2/256,
+169 give a different h**2 and 10,145 a different h**6 (numpy 2.4).
+`run_flow` forms dt = dt_safety * h**2 and the banded solve's lambda =
+dt / h**6 in Python floats, `run_ensemble` both in arrays, and a merged loop
+would change the bits of one of them.
+
+scipy serves only the banded solve: `_solve_banded` imports `solve_banded`
+when it first runs, so importing this module, and every ensemble run, never
+loads scipy.
 """
 from __future__ import annotations
 
@@ -52,15 +58,6 @@ MAX_HALVINGS = 40
 DT_FLOOR_FACTOR = 1e-14
 
 
-class StepRejected(Exception):
-    """A step produced a geometrically invalid curve; retry with smaller dt."""
-
-    def __init__(self, reason: str, step_index: int):
-        self.reason = reason
-        self.step_index = int(step_index)
-        super().__init__(f"step {step_index} rejected: {reason}")
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     """Immutable parameters of one run."""
@@ -88,16 +85,6 @@ class FlowConfig:
             raise ValueError(f"stop_knorm must be >= 0, got {self.stop_knorm}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Curve, clock and cached geometry at one step."""
-
-    curve: DiscreteCurve
-    time: float
-    step_index: int
-    profile: GeometryProfile
 
 
 def normal_speed(profile: GeometryProfile | GeometryStack) -> np.ndarray:
@@ -150,127 +137,97 @@ def _mirror_symbol(n: int) -> np.ndarray:
     return c
 
 
-def _solve_mirror(rhs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Solve I - lam_b * (folded sixth difference) for a (B, 2, n+1) stack.
+def _solve_banded(rhs: np.ndarray, dt: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Solve I - lam_b * (folded sixth difference) for every member of a (B, 2, 2n) buffer.
 
-    Row 0 of each member is the x system (odd fold, pinned ends: its end
-    values must be zero), row 1 the y system (even fold), as in `step`.
-    Either fold makes the system the restriction of a circulant on the
-    2n-periodic mirror extension with symbol 1 + lam (2 - 2 cos theta)^3, so
-    one real FFT pair solves every member, each with its own lam.
+    The first n+1 entries of row 0 of member b hold its x right-hand side
+    (odd fold, pinned ends: its end values must be zero), those of row 1 its
+    y right-hand side (even fold); the solutions replace them and come back
+    as a (B, 2, n+1) view.  lam_b = dt_b / h_b^6 is formed in Python floats,
+    as `run_flow` forms dt.
     """
-    n = rhs.shape[-1] - 1
-    ext = np.empty(rhs.shape[:-1] + (2 * n,))
-    ext[..., :n + 1] = rhs
-    ext[:, 0, n + 1:] = -rhs[:, 0, n - 1:0:-1]
-    ext[:, 1, n + 1:] = rhs[:, 1, n - 1:0:-1]
-    spectrum = np.fft.rfft(ext, axis=-1)
-    spectrum /= 1.0 + lam[:, None, None] * _mirror_symbol(n)
+    from scipy.linalg import solve_banded  # single runs only; cached after the first step
+
+    n = rhs.shape[-1] // 2
+    out = rhs[..., :n + 1]
+    for b in range(rhs.shape[0]):
+        lam = float(dt[b]) / float(h[b]) ** 6
+        for row, fold, pin in ((0, -1.0, True), (1, 1.0, False)):
+            out[b, row] = solve_banded((3, 3), _implicit_matrix(n, fold, pin, lam), out[b, row],
+                                       overwrite_ab=True, overwrite_b=True, check_finite=False)
+    return out
+
+
+def _solve_mirror(rhs: np.ndarray, dt: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """`_solve_banded` by one real FFT pair, with lam = dt / h^6 formed as an array.
+
+    Either fold makes the system the restriction of a circulant on the
+    2n-periodic mirror extension with symbol 1 + lam (2 - 2 cos theta)^3.
+    The right-hand sides are extended in place, odd for x and even for y,
+    and one FFT pair solves every member, each with its own lam.
+    """
+    n = rhs.shape[-1] // 2
+    np.negative(rhs[:, 0, n - 1:0:-1], out=rhs[:, 0, n + 1:])
+    rhs[:, 1, n + 1:] = rhs[:, 1, n - 1:0:-1]
+    spectrum = np.fft.rfft(rhs, axis=-1)
+    spectrum /= 1.0 + (dt / h ** 6)[:, None, None] * _mirror_symbol(n)
     return np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n + 1]
 
 
-def select_dt(state: FlowState, config: FlowConfig) -> float:
-    """Step size dt_safety * h^2, capped so the run cannot overshoot t_end.
-
-    The implicit sixth-order part is unconditionally stable; the explicit
-    remainder behaves no worse than second-order transport, so an h^2 cap
-    suffices.
-    """
-    dt = config.dt_safety * state.profile.h ** 2
-    remaining = config.t_end - state.time
-    return min(dt, remaining)
-
-
-def _rhs(geometry: GeometryProfile | GeometryStack, dt) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides dt * F * nu of the x and y systems, zero at the pinned x ends."""
-    speed = normal_speed(geometry)
-    rhs_x = (-dt) * speed * np.sin(geometry.theta)
-    rhs_y = dt * speed * np.cos(geometry.theta)
-    rhs_x[..., 0] = 0.0
-    rhs_x[..., -1] = 0.0
-    return rhs_x, rhs_y
-
-
-def step(state: FlowState, dt: float) -> FlowState:
-    """Advance one linearly-implicit step of size dt.
+def _advance(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray, line_left: float,
+             line_right: float, solve) -> tuple[np.ndarray, GeometryStack]:
+    """One linearly-implicit step of every curve of a (B, n+1, 2) stack, member b by dt[b].
 
     Solves (I - dt * D6) applied to the position increment against dt * F * nu
     per coordinate, with D6 the folded sixth difference in the arc length
-    frozen at the step's start.  The x system carries odd folds and pinned
-    endpoint rows (endpoints slide on their lines), the y system even folds.
-    Afterwards endpoints are re-pinned exactly and the curve is resampled to
-    uniform spacing.  Raises StepRejected when the moved curve fails a
-    geometric validity check.
+    frozen at the step's start; `solve` is `_solve_banded` or
+    `_solve_mirror`.  The x system carries odd folds and pinned endpoint rows
+    (endpoints slide on their lines), the y system even folds.  Afterwards
+    endpoints are re-pinned exactly and the curves are resampled to uniform
+    spacing.  Returns the new nodes and their geometry; a member whose moved
+    curve fails a geometric validity check has `valid` False.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    from scipy.linalg import solve_banded  # single runs only; cached after the first step
-
-    profile = state.profile
-    curve = state.curve
-    n = curve.n
-    rhs_x, rhs_y = _rhs(profile, dt)
-    lam = dt / profile.h ** 6
-    ab_x = _implicit_matrix(n, -1.0, True, lam)
-    ab_y = _implicit_matrix(n, 1.0, False, lam)
-    try:
-        dx = solve_banded((3, 3), ab_x, rhs_x, overwrite_ab=True,
-                          overwrite_b=True, check_finite=False)
-        dy = solve_banded((3, 3), ab_y, rhs_y, overwrite_ab=True,
-                          overwrite_b=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"implicit solve failed at step {state.step_index}: {exc}"
-        ) from exc
-    pts = curve.points + np.column_stack([dx, dy])
-    _pin(pts, curve.line_left, curve.line_right)
-    try:
-        moved = DiscreteCurve(pts, curve.line_left, curve.line_right)
-        resampled = resample_uniform(moved, n)
-        new_profile = compute_geometry(resampled)
-    except ValueError as exc:
-        raise StepRejected(str(exc), state.step_index) from exc
-    return FlowState(
-        curve=resampled,
-        time=state.time + dt,
-        step_index=state.step_index + 1,
-        profile=new_profile,
-    )
-
-
-def _step_stack(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray,
-                line_left: float, line_right: float) -> tuple[np.ndarray, GeometryStack]:
-    """`step` for every curve of a (B, n+1, 2) stack, member b with step dt[b].
-
-    Solves both coordinate systems of all members with `_solve_mirror`, then
-    re-pins, resamples and measures the moved curves along the batch axis.
-    Returns the new nodes and their geometry; a member whose moved curve
-    `step` would reject has `valid` False.
-    """
-    rhs = np.stack(_rhs(geometry, dt[:, None]), axis=1)
-    moved = points + _solve_mirror(rhs, dt / geometry.h ** 6).transpose(0, 2, 1)
+    rows, n = points.shape[0], points.shape[1] - 1
+    # dt F nu goes straight into the solve's buffer: the first n+1 entries of
+    # each 2n-wide row, the rest is room for the mirror extension
+    rhs = np.empty((rows, 2, 2 * n))
+    rhs_x, rhs_y = rhs[:, 0, :n + 1], rhs[:, 1, :n + 1]
+    speed = dt[:, None] * normal_speed(geometry)
+    np.negative(np.multiply(speed, np.sin(geometry.theta), out=rhs_x), out=rhs_x)
+    np.multiply(speed, np.cos(geometry.theta), out=rhs_y)
+    rhs_x[:, 0] = 0.0
+    rhs_x[:, n] = 0.0
+    moved = points + solve(rhs, dt, geometry.h).transpose(0, 2, 1)
     _pin(moved, line_left, line_right)
-    resampled, valid = resample_uniform_stack(moved, points.shape[1] - 1,
-                                              line_left, line_right)
+    resampled, valid = resample_uniform_stack(moved, n, line_left, line_right)
     new_geometry = compute_geometry_stack(resampled)
     np.logical_and(new_geometry.valid, valid, out=new_geometry.valid)
     return resampled, new_geometry
 
 
-def _initial_state(config: FlowConfig, initial: DiscreteCurve) -> FlowState:
-    """Start of a run: the initial curve at the config's resolution, checked."""
+def step(points: np.ndarray, geometry: GeometryStack, dt: float, line_left: float,
+         line_right: float) -> tuple[np.ndarray, GeometryStack]:
+    """One step of size dt of the curve of a (1, n+1, 2) stack: `_advance` with banded solves."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return _advance(points, geometry, np.array([dt]), line_left, line_right, _solve_banded)
+
+
+def _initial_curve(config: FlowConfig,
+                   initial: DiscreteCurve) -> tuple[DiscreteCurve, GeometryProfile]:
+    """Start of a run: the initial curve at the config's resolution, checked, and its geometry."""
     if (initial.line_left != config.line_left
             or initial.line_right != config.line_right):
         raise ValueError("initial curve and config disagree on the boundary lines")
     curve = initial if initial.n == config.n else resample_uniform(initial, config.n)
-    state = FlowState(curve, 0.0, 0, compute_geometry(curve))
-    omega0 = winding_number(state.profile)
+    profile = compute_geometry(curve)
+    omega0 = winding_number(profile)
     if abs(omega0) > 0.1:
         raise ValueError(
             f"initial winding number {omega0:.3f} is not 0; the straightening "
             "regime requires zero total turning"
         )
-    return state
+    return curve, profile
 
 
 def _snapshot(time: float, curve: DiscreteCurve, profile: GeometryProfile,
@@ -302,55 +259,61 @@ def run_flow(config: FlowConfig, initial: DiscreteCurve,
     Records a snapshot with a full diagnostics record at the start, every
     snapshot_every-th step and at the final step.  Terminates on the time
     horizon, the step cap, or the curvature dropping below stop_knorm
-    (0 disables that test).  Rejected steps retry with halved dt; more than
-    40 halvings abort the run with the partial trajectory and reason
-    "dt_underflow".
+    (0 disables that test).  Each step is one `step` call with dt =
+    dt_safety * h^2, capped so the run cannot overshoot t_end: the implicit
+    sixth-order part is unconditionally stable, and the explicit remainder
+    behaves no worse than second-order transport.  Rejected steps retry with
+    halved dt; more than 40 halvings abort the run with the partial
+    trajectory and reason "dt_underflow".
     """
-    state = _initial_state(config, initial)
-    length_ref = state.profile.length
+    curve, profile = _initial_curve(config, initial)
+    length_ref = profile.length
     wall_start = _time.perf_counter()
+    lines = (config.line_left, config.line_right)
+    snaps = [_snapshot(0.0, curve, profile, length_ref)]
+    points = curve.points[None]
+    geometry = compute_geometry_stack(points)
+    clock = 0.0
 
-    snaps: list[Snapshot] = []
+    def record() -> None:
+        curve = DiscreteCurve(points[0], *lines)
+        snaps.append(_snapshot(clock, curve, compute_geometry(curve), length_ref))
 
-    def record(st: FlowState) -> None:
-        snaps.append(_snapshot(st.time, st.curve, st.profile, length_ref))
-
-    record(state)
+    steps = 0
     rejections = 0
     t_slack = 1e-12 * config.t_end
-    termination = None
-    while termination is None:
-        if config.stop_knorm > 0.0 and float(np.abs(state.profile.k).max()) < config.stop_knorm:
+    while True:
+        if config.stop_knorm > 0.0 and float(np.abs(geometry.k).max()) < config.stop_knorm:
             termination = "stop_knorm"
             break
-        if state.time >= config.t_end - t_slack:
+        if clock >= config.t_end - t_slack:
             termination = "t_end"
             break
-        if state.step_index >= config.max_steps:
+        if steps >= config.max_steps:
             termination = "max_steps"
             break
-        dt = select_dt(state, config)
-        dt_floor = DT_FLOOR_FACTOR * state.profile.h ** 2
-        advanced = None
+        h2 = float(geometry.h[0]) ** 2
+        dt = min(config.dt_safety * h2, config.t_end - clock)
         for _ in range(MAX_HALVINGS + 1):
-            try:
-                advanced = step(state, dt)
+            new_points, new_geometry = step(points, geometry, dt, *lines)
+            if new_geometry.valid[0]:
                 break
-            except StepRejected:
-                rejections += 1
-                dt *= 0.5
-                if dt < dt_floor:
-                    break
-        if advanced is None:
+            rejections += 1
+            dt *= 0.5
+            if dt < DT_FLOOR_FACTOR * h2:
+                break
+        if not new_geometry.valid[0]:
             termination = "dt_underflow"
             break
-        state = advanced
-        if state.step_index % config.snapshot_every == 0:
-            record(state)
-    if not snaps or snaps[-1].time < state.time:
-        record(state)
+        points, geometry = new_points, new_geometry
+        clock += dt
+        steps += 1
+        if steps % config.snapshot_every == 0:
+            record()
+    if snaps[-1].time < clock:
+        record()
 
-    return _trajectory(snaps, config, termination, state.step_index, state.time, rejections,
+    return _trajectory(snaps, config, termination, steps, clock, rejections,
                        _time.perf_counter() - wall_start, extra_metadata)
 
 
@@ -361,33 +324,34 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
     Every member keeps the rules of `run_flow`: its own dt = dt_safety * h^2,
     clock, snapshot cadence and termination, and a rejected step retries
     with halved dt for that member alone, down to the same "dt_underflow"
-    abort that keeps its partial trajectory.  Each step is one `_step_stack`
-    call on the stack of running members; only rejected members are stepped
-    again, and the stack is compacted when members finish.  The FFT solve
-    differs from the banded one only by rounding; no member's result depends
-    on its batch-mates.  Snapshot records come from `compute_geometry` and
-    `make_record`, as in `run_flow`.  `extra_metadata` holds one dict (or
-    None) per member; `wall_time` is that of the whole ensemble.
+    abort that keeps its partial trajectory.  Each step is one `_advance`
+    call with the FFT solve on the stack of running members; only rejected
+    members are stepped again, and the stack is compacted when members
+    finish.  The FFT solve differs from the banded one only by rounding; no
+    member's result depends on its batch-mates.  Snapshot records come from
+    `compute_geometry` and `make_record`, as in `run_flow`.  `extra_metadata`
+    holds one dict (or None) per member; `wall_time` is that of the whole
+    ensemble.
     """
-    states = [_initial_state(config, initial) for initial in initials]
-    if not states:
+    starts = [_initial_curve(config, initial) for initial in initials]
+    if not starts:
         raise ValueError("an ensemble needs at least one initial curve")
-    extras = list(extra_metadata) if extra_metadata is not None else [None] * len(states)
-    if len(extras) != len(states):
-        raise ValueError(f"{len(extras)} metadata entries for {len(states)} curves")
+    extras = list(extra_metadata) if extra_metadata is not None else [None] * len(starts)
+    if len(extras) != len(starts):
+        raise ValueError(f"{len(extras)} metadata entries for {len(starts)} curves")
     wall_start = _time.perf_counter()
     lines = (config.line_left, config.line_right)
     # row r of points, geometry and clock belongs to member live[r]
-    live = np.arange(len(states))
-    points = np.stack([st.curve.points for st in states])
+    live = np.arange(len(starts))
+    points = np.stack([curve.points for curve, _ in starts])
     geometry = compute_geometry_stack(points)
-    clock = np.zeros(len(states))
-    final_times = np.zeros(len(states))
-    rejections = np.zeros(len(states), dtype=int)
-    length_refs = [st.profile.length for st in states]
-    snaps = [[_snapshot(st.time, st.curve, st.profile, ref)]
-             for st, ref in zip(states, length_refs)]
-    endings: list[tuple[str, int] | None] = [None] * len(states)
+    clock = np.zeros(len(starts))
+    final_times = np.zeros(len(starts))
+    rejections = np.zeros(len(starts), dtype=int)
+    length_refs = [profile.length for _, profile in starts]
+    snaps = [[_snapshot(0.0, curve, profile, ref)]
+             for (curve, profile), ref in zip(starts, length_refs)]
+    endings: list[tuple[str, int] | None] = [None] * len(starts)
 
     def record(row: int) -> None:
         b = live[row]
@@ -422,7 +386,7 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
                 break
         h2 = geometry.h ** 2
         dt = np.minimum(config.dt_safety * h2, config.t_end - clock)
-        new_points, new_geometry = _step_stack(points, geometry, dt, *lines)
+        new_points, new_geometry = _advance(points, geometry, dt, *lines, _solve_mirror)
         # a rejected member retries at halved dt, MAX_HALVINGS times at most, as in run_flow
         retry = np.flatnonzero(~new_geometry.valid)
         for attempt in range(MAX_HALVINGS + 1):
@@ -433,8 +397,8 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
             retry = retry[dt[retry] >= DT_FLOOR_FACTOR * h2[retry]]
             if attempt == MAX_HALVINGS or not retry.size:
                 break
-            retried_points, retried = _step_stack(points[retry], geometry.take(retry),
-                                                  dt[retry], *lines)
+            retried_points, retried = _advance(points[retry], geometry.take(retry), dt[retry],
+                                               *lines, _solve_mirror)
             ok = retried.valid
             new_points[retry[ok]] = retried_points[ok]
             new_geometry.put(retry[ok], retried.take(ok))

@@ -10,6 +10,10 @@ discretisation order, never against values produced by the package itself.
 evaluates, by Gauss quadrature of its speed (`lagrange_velocity`); the
 resampling tests use it to show that resampling keeps the length.  Only the
 tests use it, so it lives here rather than in the package.
+
+`wrapped_turns` and `lagrange_weights` are the textbook formulas of two
+geometry kernels that the package evaluates with fewer operations; the
+tests hold the package's versions to their bits.
 """
 from __future__ import annotations
 
@@ -93,3 +97,27 @@ def arc_length(points: np.ndarray) -> float:
     vel = lagrange_velocity(t, pts, tau, seg)
     speed = np.hypot(vel[:, 0], vel[:, 1]).reshape(N, _GL_NODES.size)
     return float(np.sum(speed @ _GL_WEIGHTS * half))
+
+
+def wrapped_turns(raw: np.ndarray) -> np.ndarray:
+    """Differences of consecutive chord angles wrapped into [-pi, pi): (d + pi) mod 2 pi - pi."""
+    turns = raw[..., 1:] - raw[..., :-1]
+    return (turns + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def lagrange_weights(nodes: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weights w0..w3 of the nodes t_0..t_3 in the 4-point Lagrange interpolant at tau.
+
+    Each is prod_{l != j} (tau - t_l) / prod_{l != j} (t_j - t_l), with the
+    factors in increasing l.
+    """
+    weights = []
+    for j in range(4):
+        others = [l for l in range(4) if l != j]
+        num = tau - nodes[others[0]]
+        den = nodes[j] - nodes[others[0]]
+        for l in others[1:]:
+            num = num * (tau - nodes[l])
+            den = den * (nodes[j] - nodes[l])
+        weights.append(num / den)
+    return tuple(weights)

@@ -447,14 +447,14 @@ class TestMainEntry:
     def test_sweep_underflow_exits_1_and_keeps_other_cells(self, tmp_path, monkeypatch):
         import hexaflow.flow as flow
 
-        real = flow._step_stack
+        real = flow._advance
 
         def reject_large(points, geometry, dt, *lines):
             new_points, new_geometry = real(points, geometry, dt, *lines)
             new_geometry.valid[np.abs(points[:, :, 1]).max(axis=1) > 0.065] = False
             return new_points, new_geometry
 
-        monkeypatch.setattr("hexaflow.flow._step_stack", reject_large)
+        monkeypatch.setattr("hexaflow.flow._advance", reject_large)
         path = tmp_path / "sweep.yaml"
         path.write_text("n: 32\nA: [0.02, 0.08]\nt_end: 0.002\ninit: cosine-graph\n")
         out = tmp_path / "cells"
@@ -526,6 +526,37 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("line_left: -1e308\nline_right: 0\n", "line_left"),
+        ("line_left: -1e200\nline_right: 1e200\n", "line_left"),
+        ("line_left: -1e-200\nline_right: 1e-200\n", "line_right - line_left"),
+    ], ids=["left-far-out", "both-far-out", "gap-too-small"])
+    def test_lines_out_of_scale_exit_2(self, tmp_path, capsys, lines, key):
+        # finite lines with a finite gap whose arithmetic would overflow or underflow
+        cfg = self._write_config(tmp_path, lines + "A: 0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err
+        assert not out.exists()
+
+    def test_run_measures_the_initial_curve_once(self, tmp_path, capsys, monkeypatch):
+        # the margin line reads the run's first record instead of measuring again
+        measured = []
+        real = hexaflow.cli.compute_geometry
+
+        def counting(curve):
+            measured.append(curve.n)
+            return real(curve)
+
+        monkeypatch.setattr("hexaflow.cli.compute_geometry", counting)
+        assert main(["run", "--config", self._write_config(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "small-energy margin delta = " in capsys.readouterr().out
+        assert measured == [64]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

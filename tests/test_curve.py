@@ -23,13 +23,23 @@ from hexaflow import (
     resample_uniform,
 )
 from hexaflow.curve import (
+    LINE_SCALE,
+    _lagrange_weights,
     _search_sorted_rows,
     _segment_data,
+    _turns,
+    check_lines,
     compute_geometry_stack,
     resample_uniform_stack,
 )
 
-from oracles import COSINE_A005_M1, arc_length, lagrange_velocity
+from oracles import (
+    COSINE_A005_M1,
+    arc_length,
+    lagrange_velocity,
+    lagrange_weights,
+    wrapped_turns,
+)
 
 
 def _cosine(n: int, amplitude: float = 0.05, mode: int = 1) -> DiscreteCurve:
@@ -74,6 +84,16 @@ class TestCurveValidation:
         pts[5, 1] = 99.0
         assert curve.points[5, 1] == 0.0
         assert not curve.points.flags.writeable
+
+    def test_line_scale_limits_are_inclusive(self):
+        check_lines(-LINE_SCALE, LINE_SCALE)
+        check_lines(0.0, 1.0 / LINE_SCALE)
+        with pytest.raises(ValueError, match="line_right must lie within"):
+            check_lines(0.0, np.nextafter(LINE_SCALE, np.inf))
+        with pytest.raises(ValueError, match="line_left must lie within"):
+            check_lines(np.nextafter(-LINE_SCALE, -np.inf), 0.0)
+        with pytest.raises(ValueError, match="line_right - line_left must be at least"):
+            check_lines(0.0, np.nextafter(1.0 / LINE_SCALE, 0.0))
 
 
 class TestGeometryOracles:
@@ -373,6 +393,17 @@ class TestStackKernels:
             assert np.array_equal(out[0], rows[0])
             assert np.array_equal(out[1], rows[1])
 
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(16, 70))
+    @settings(max_examples=25, deadline=None)
+    def test_stack_of_one_is_bitwise_single(self, seed, m):
+        rng = np.random.default_rng(seed)
+        curve = _cosine(m, amplitude=rng.uniform(0.0, 0.05))
+        stack = compute_geometry_stack(curve.points[None])
+        profile = compute_geometry(curve)
+        assert stack.valid.tolist() == [True] and stack.h[0] == profile.h
+        for name in ("theta", "k", "k_s", "k_ss", "k_s4"):
+            assert np.array_equal(getattr(stack, name)[0], getattr(profile, name)), name
+
     def test_take_and_put_rows(self):
         stack = compute_geometry_stack(np.stack(_stack_rows()[:4]))
         part = stack.take(np.array([2, 0]))
@@ -380,6 +411,68 @@ class TestStackKernels:
         stack.put(np.array([1]), part.take(np.array([1])))
         assert np.array_equal(stack.k[1], stack.k[0])
         assert stack.h[1] == stack.h[0]
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal float64 bit patterns, NaN matching NaN."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+class TestKernelOracles:
+    """The leaner geometry kernels against their textbook formulas in `oracles`."""
+
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.3, 1.5, math.pi, 50.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_turns_match_the_wrap(self, seed, spread):
+        # chord angles come from arctan2, within [-pi, pi]; a spread of pi and
+        # more makes turns beyond +-pi, which need the remainder
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-spread, spread, (4, 33))
+        raw[rng.random(4) < 0.25, rng.integers(0, 33)] = np.nan
+        assert _same_bits(_turns(raw), wrapped_turns(raw))
+        for row in raw:   # each row alone takes its own branch
+            assert _same_bits(_turns(row), wrapped_turns(row))
+
+    def test_turns_at_the_ends_of_the_wrap(self):
+        # turns of exactly -pi and pi, and one ulp inside either
+        pi_below = np.nextafter(np.pi, 0.0)
+        for row in ([0.0, np.pi, 0.0], [0.0, -np.pi], [0.0, pi_below, 0.0, -pi_below],
+                    [np.pi, -np.pi, np.pi], [np.nan, 0.0, 1.0]):
+            raw = np.array(row)
+            assert _same_bits(_turns(raw), wrapped_turns(raw)), row
+
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.integers(0, 3), nan=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_lagrange_weights_match_the_formula(self, seed, ties, nan):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.01, 0.2, 40))
+        for k in rng.integers(0, 39, ties):
+            t[k + 1] = t[k]
+        if nan:
+            t[rng.integers(0, 40)] = np.nan
+        b = rng.integers(0, 37, 300)
+        tau = t[b] + rng.uniform(-0.1, 0.5, 300)
+        c = rng.standard_normal((4, 300))
+        nodes = t[b + np.arange(4)[:, None]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _lagrange_weights(nodes, tau)   # w0, -w1, w2, -w3
+            want = lagrange_weights(nodes, tau)
+            value = got[0] * c[0] - got[1] * c[1] + got[2] * c[2] - got[3] * c[3]
+            expect = want[0] * c[0] + want[1] * c[1] + want[2] * c[2] + want[3] * c[3]
+        # a tie makes a zero denominator: the weight is infinite or NaN on
+        # both sides, but -(t_i - t_j) is -0 where t_j - t_i is +0, so an
+        # infinity may differ in sign; every finite weight has the same bits
+        for j, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+            finite = np.isfinite(want[j])
+            assert np.array_equal(np.isfinite(got[j]), finite), j
+            assert _same_bits(sign * got[j][finite], want[j][finite]), j
+        finite = np.isfinite(expect)
+        assert np.array_equal(np.isfinite(value), finite)
+        assert _same_bits(value[finite], expect[finite])
+        if ties or nan:
+            assert not finite.all()
 
 
 @given(

@@ -11,11 +11,8 @@ from scipy.linalg import solve_banded
 from hexaflow import (
     DiscreteCurve,
     FlowConfig,
-    FlowState,
     GeometryProfile,
     InitialSpec,
-    SpacingError,
-    StepRejected,
     compute_geometry,
     generate_initial,
     integrate,
@@ -23,14 +20,15 @@ from hexaflow import (
     resample_uniform,
     run_ensemble,
     run_flow,
-    select_dt,
     step,
 )
 import hexaflow.flow as flow
+from hexaflow.curve import compute_geometry_stack
 from hexaflow.flow import (
     SIXTH_DIFF,
     _implicit_matrix,
     _sixth_difference_template,
+    _solve_banded,
     _solve_mirror,
 )
 
@@ -119,27 +117,29 @@ class TestImplicitTemplate:
         assert np.array_equal(template[2:-2], free[2:-2])
 
 
+def _stack(curve: DiscreteCurve):
+    """A curve as the (1, n+1, 2) stack that `step` takes, and its geometry."""
+    points = curve.points[None]
+    return points, compute_geometry_stack(points)
+
+
 class TestStep:
     def test_flat_curve_is_fixed_point(self, flat_curve):
-        state = FlowState(flat_curve, 0.0, 0, compute_geometry(flat_curve))
-        out = step(state, 1e-3)
-        assert np.array_equal(out.curve.points, flat_curve.points)
-        assert out.time == pytest.approx(1e-3)
-        assert out.step_index == 1
+        new_points, new_geometry = step(*_stack(flat_curve), 1e-3, -1.0, 1.0)
+        assert new_geometry.valid.tolist() == [True]
+        assert np.array_equal(new_points[0], flat_curve.points)
 
     def test_single_step_decreases_energy(self, cosine_curve, cosine_profile):
-        state = FlowState(cosine_curve, 0.0, 0, cosine_profile)
-        dt = select_dt(state, FlowConfig(n=128, t_end=1.0))
-        out = step(state, dt)
+        dt = 0.1 * cosine_profile.h ** 2
+        new_points, _ = step(*_stack(cosine_curve), dt, -1.0, 1.0)
+        after = compute_geometry(DiscreteCurve(new_points[0], -1.0, 1.0))
         before = integrate(cosine_profile.k_s ** 2, cosine_profile)
-        after = integrate(out.profile.k_s ** 2, out.profile)
-        assert after < before
+        assert integrate(after.k_s ** 2, after) < before
 
     def test_normal_velocity_matches_speed_law(self, cosine_curve, cosine_profile):
         dt = 1e-8
-        state = FlowState(cosine_curve, 0.0, 0, cosine_profile)
-        out = step(state, dt)
-        vel = (out.curve.points - cosine_curve.points) / dt
+        new_points, _ = step(*_stack(cosine_curve), dt, -1.0, 1.0)
+        vel = (new_points[0] - cosine_curve.points) / dt
         nu = np.column_stack([-np.sin(cosine_profile.theta),
                               np.cos(cosine_profile.theta)])
         v_normal = (vel * nu).sum(axis=1)
@@ -147,43 +147,53 @@ class TestStep:
         j = 32
         assert v_normal[j] == pytest.approx(speed[j], rel=1e-3)
 
-    def test_endpoints_stay_on_lines(self, cosine_curve, cosine_profile):
-        state = FlowState(cosine_curve, 0.0, 0, cosine_profile)
-        out = step(state, 1e-5)
-        assert out.curve.points[0, 0] == -1.0
-        assert out.curve.points[-1, 0] == 1.0
+    def test_endpoints_stay_on_lines(self, cosine_curve):
+        new_points, _ = step(*_stack(cosine_curve), 1e-5, -1.0, 1.0)
+        assert new_points[0, 0, 0] == -1.0
+        assert new_points[0, -1, 0] == 1.0
 
-    def test_rejects_nonpositive_dt(self, cosine_curve, cosine_profile):
-        state = FlowState(cosine_curve, 0.0, 0, cosine_profile)
+    def test_geometry_is_that_of_the_new_curve(self, cosine_curve):
+        new_points, new_geometry = step(*_stack(cosine_curve), 1e-5, -1.0, 1.0)
+        profile = compute_geometry(DiscreteCurve(new_points[0], -1.0, 1.0))
+        assert new_geometry.h[0] == profile.h
+        for name in ("theta", "k", "k_s", "k_ss", "k_s4"):
+            assert np.array_equal(getattr(new_geometry, name)[0], getattr(profile, name)), name
+
+    def test_rejects_nonpositive_dt(self, cosine_curve):
         with pytest.raises(ValueError):
-            step(state, 0.0)
+            step(*_stack(cosine_curve), 0.0, -1.0, 1.0)
 
-    def test_geometry_failure_becomes_rejection(
-        self, cosine_curve, cosine_profile, monkeypatch
-    ):
-        def broken(curve):
-            raise SpacingError("forced failure")
+    def test_geometry_failure_becomes_rejection(self, cosine_curve, monkeypatch):
+        # the resampled curve gets two coincident nodes: the geometry check
+        # marks the step invalid instead of raising
+        real = flow.resample_uniform_stack
 
-        monkeypatch.setattr("hexaflow.flow.compute_geometry", broken)
-        state = FlowState(cosine_curve, 0.0, 0, cosine_profile)
-        with pytest.raises(StepRejected) as err:
-            step(state, 1e-6)
-        assert "forced failure" in str(err.value)
-        assert err.value.step_index == 0
+        def degenerate(points, m, *lines):
+            out, valid = real(points, m, *lines)
+            out[:, 5] = out[:, 4]
+            return out, valid
+
+        monkeypatch.setattr("hexaflow.flow.resample_uniform_stack", degenerate)
+        _, new_geometry = step(*_stack(cosine_curve), 1e-6, -1.0, 1.0)
+        assert new_geometry.valid.tolist() == [False]
 
 
 class TestSelectDt:
+    """`run_flow`'s step size: dt_safety * h^2 in Python floats, capped by the horizon."""
+
     def test_spacing_square_rule(self, cosine_curve, cosine_profile):
-        state = FlowState(cosine_curve, 0.0, 0, cosine_profile)
-        config = FlowConfig(n=128, t_end=10.0, dt_safety=0.1)
-        assert select_dt(state, config) == pytest.approx(
-            0.1 * cosine_profile.h ** 2, rel=1e-14
-        )
+        config = FlowConfig(n=128, t_end=10.0, dt_safety=0.1, max_steps=1)
+        traj = run_flow(config, cosine_curve)
+        assert traj.metadata["final_time"] == 0.1 * cosine_profile.h ** 2
 
     def test_capped_by_horizon(self, cosine_curve, cosine_profile):
-        config = FlowConfig(n=128, t_end=1.0, dt_safety=0.1)
-        state = FlowState(cosine_curve, 1.0 - 1e-9, 0, cosine_profile)
-        assert select_dt(state, config) == pytest.approx(1e-9, rel=1e-6)
+        nominal = 0.1 * cosine_profile.h ** 2
+        config = FlowConfig(n=128, t_end=nominal + 1e-9, dt_safety=0.1, snapshot_every=1)
+        traj = run_flow(config, cosine_curve)
+        assert traj.metadata["termination"] == "t_end"
+        assert traj.metadata["steps"] == 2
+        assert traj.times[1] == nominal
+        assert traj.times[2] - traj.times[1] == pytest.approx(1e-9, rel=1e-6)
 
 
 class TestFlowConfigValidation:
@@ -266,8 +276,12 @@ class TestRunFlow:
             assert np.array_equal(sa.curve.points, sb.curve.points)
 
     def test_persistent_rejection_underflows(self, cosine_curve, monkeypatch):
-        def always_reject(state, dt):
-            raise StepRejected("forced", state.step_index)
+        real_step = step
+
+        def always_reject(points, geometry, dt, *lines):
+            new_points, new_geometry = real_step(points, geometry, dt, *lines)
+            new_geometry.valid[:] = False
+            return new_points, new_geometry
 
         monkeypatch.setattr("hexaflow.flow.step", always_reject)
         config = FlowConfig(n=128, t_end=1.0)
@@ -282,11 +296,12 @@ class TestRunFlow:
         real_step = step
         failures = {"left": 2}
 
-        def flaky(state, dt):
+        def flaky(points, geometry, dt, *lines):
+            new_points, new_geometry = real_step(points, geometry, dt, *lines)
             if failures["left"] > 0:
                 failures["left"] -= 1
-                raise StepRejected("transient", state.step_index)
-            return real_step(state, dt)
+                new_geometry.valid[:] = False
+            return new_points, new_geometry
 
         monkeypatch.setattr("hexaflow.flow.step", flaky)
         config = FlowConfig(n=128, t_end=1.0, max_steps=1)
@@ -301,6 +316,14 @@ class TestRunFlow:
         )
 
 
+def _buffer(rhs: np.ndarray) -> np.ndarray:
+    """(B, 2, n+1) right-hand sides in the (B, 2, 2n) buffer that the solves take."""
+    n = rhs.shape[-1] - 1
+    buffer = np.zeros(rhs.shape[:-1] + (2 * n,))
+    buffer[..., :n + 1] = rhs
+    return buffer
+
+
 class TestMirrorSolve:
     """The FFT solve against `solve_banded` on the folded banded template."""
 
@@ -311,7 +334,8 @@ class TestMirrorSolve:
         rng = np.random.default_rng(n)
         rhs = rng.standard_normal((3, 2, n + 1))
         rhs[:, 0, [0, n]] = 0.0
-        out = _solve_mirror(rhs, np.full(3, lam))
+        # with h = 1, lam is dt itself
+        out = _solve_mirror(_buffer(rhs), np.full(3, lam), np.ones(3))
         for b in range(3):
             for row, fold, pin in ((0, -1.0, True), (1, 1.0, False)):
                 expect = solve_banded((3, 3), _implicit_matrix(n, fold, pin, lam),
@@ -327,10 +351,24 @@ class TestMirrorSolve:
         rhs = rng.standard_normal((2, 2, n + 1))
         rhs[:, 0, [0, n]] = 0.0
         lam = np.array([10.0, 1e5])
-        both = _solve_mirror(rhs, lam)
+        both = _solve_mirror(_buffer(rhs), lam, np.ones(2))
         for b in range(2):
-            alone = _solve_mirror(rhs[b:b + 1], lam[b:b + 1])
+            alone = _solve_mirror(_buffer(rhs[b:b + 1]), lam[b:b + 1], np.ones(1))
             assert np.array_equal(both[b], alone[0])
+
+    def test_banded_solve_forms_lambda_in_python_floats(self):
+        n = 32
+        h = np.array([2.0 / n * 1.01, 2.0 / n * 0.99])
+        dt = 0.1 * h ** 2
+        rng = np.random.default_rng(3)
+        rhs = rng.standard_normal((2, 2, n + 1))
+        rhs[:, 0, [0, n]] = 0.0
+        out = _solve_banded(_buffer(rhs), dt, h)
+        for b in range(2):
+            lam = float(dt[b]) / float(h[b]) ** 6
+            for row, fold, pin in ((0, -1.0, True), (1, 1.0, False)):
+                expect = solve_banded((3, 3), _implicit_matrix(n, fold, pin, lam), rhs[b, row])
+                assert np.array_equal(out[b, row], expect), (b, row)
 
 
 def _curve(amplitude: float, mode: int, n: int = 32) -> DiscreteCurve:
@@ -407,7 +445,7 @@ class TestRunEnsemble:
             assert np.array_equal(snap.curve.points, flat.points)
 
     def test_rejected_member_retries_alone(self, ensemble_members, monkeypatch):
-        real = flow._step_stack
+        real = flow._advance
         left = {"failures": 2}
 
         def flaky(points, geometry, dt, *lines):
@@ -418,7 +456,7 @@ class TestRunEnsemble:
                 new_geometry.valid[target] = False
             return new_points, new_geometry
 
-        monkeypatch.setattr("hexaflow.flow._step_stack", flaky)
+        monkeypatch.setattr("hexaflow.flow._advance", flaky)
         config = FlowConfig(n=32, t_end=0.02, snapshot_every=10, max_steps=1)
         runs = run_ensemble(config, ensemble_members)
         assert [t.metadata["rejections"] for t in runs] == [0, 0, 2, 0]
@@ -434,7 +472,7 @@ class TestRunEnsemble:
     def test_underflowing_member_keeps_partial_trajectory(
         self, ensemble_members, ensemble_run, monkeypatch
     ):
-        real = flow._step_stack
+        real = flow._advance
         calls = {"count": 0}
 
         def broken_after_three_steps(points, geometry, dt, *lines):
@@ -445,7 +483,7 @@ class TestRunEnsemble:
                 new_geometry.valid[target] = False
             return new_points, new_geometry
 
-        monkeypatch.setattr("hexaflow.flow._step_stack", broken_after_three_steps)
+        monkeypatch.setattr("hexaflow.flow._advance", broken_after_three_steps)
         runs = run_ensemble(ENSEMBLE_CONFIG, ensemble_members)
         broken = runs[2]
         assert broken.metadata["termination"] == "dt_underflow"
@@ -461,7 +499,7 @@ class TestRunEnsemble:
         # The m = 2 member stops on stop_knorm at step 5 and leaves the stack;
         # at step 8 the A = 0.08 member is rejected twice, so its retries run
         # on the compacted stack.  Each member must equal its ensemble of one.
-        real = flow._step_stack
+        real = flow._advance
         calls = {"count": 0}
 
         def reject_at_step_eight(points, geometry, dt, *lines):
@@ -471,7 +509,7 @@ class TestRunEnsemble:
                 new_geometry.valid[np.abs(points[:, :, 1]).max(axis=1) > 0.065] = False
             return new_points, new_geometry
 
-        monkeypatch.setattr("hexaflow.flow._step_stack", reject_at_step_eight)
+        monkeypatch.setattr("hexaflow.flow._advance", reject_at_step_eight)
         with pytest.warns(RuntimeWarning, match="margin"):
             stopping = _curve(0.02, 2)
         members = [ensemble_members[1], stopping, ensemble_members[2], ensemble_members[3]]
@@ -494,14 +532,16 @@ class TestRunEnsemble:
                 assert a.record == b.record
         # the retried member against `run_flow` under the same two rejections,
         # to rounding: it kept the nodes of its accepted quarter step
+        monkeypatch.undo()
         real_step = flow.step
-        left = {"rejections": 2}
+        calls["count"] = 0
 
-        def reject_step_eight(state, dt):
-            if state.step_index == 7 and left["rejections"]:
-                left["rejections"] -= 1
-                raise StepRejected("forced", state.step_index)
-            return real_step(state, dt)
+        def reject_step_eight(points, geometry, dt, *lines):
+            new_points, new_geometry = real_step(points, geometry, dt, *lines)
+            calls["count"] += 1
+            if calls["count"] in (8, 9):
+                new_geometry.valid[:] = False
+            return new_points, new_geometry
 
         monkeypatch.setattr("hexaflow.flow.step", reject_step_eight)
         solo = run_flow(config, members[2])
