@@ -21,8 +21,8 @@ a field without a default is a required key.  Keys and defaults:
   m               cosine mode, integer >= 1 (default 1)
   dt_safety       step factor in (0, 1] (default 0.1)
   snapshot_every  steps between snapshots (default 100)
-  line_left       left boundary line abscissa (default -1.0; within +-1e12)
-  line_right      right boundary line abscissa (default 1.0; at least 1e-12 right of line_left)
+  line_left       left boundary line abscissa (default -1.0)
+  line_right      right boundary line abscissa (default 1.0; see check_lines for their scale)
   stop_knorm      terminate when sup|k| drops below this (default 0, disabled)
   max_steps       step cap (default 10000000)
   path            source file for custom-file initial data
@@ -92,7 +92,7 @@ class InitialSpec:
             raise ValueError(f"unknown initial kind {self.kind!r}")
         if self.n < 16:
             raise ValueError(f"n must be >= 16, got {self.n}")
-        check_lines(self.line_left, self.line_right)
+        check_lines(self.line_left, self.line_right, self.n)
         if self.kind == "cosine-graph":
             half_gap = 0.5 * (self.line_right - self.line_left)
             if not 0.0 <= self.amplitude < half_gap:
@@ -144,7 +144,7 @@ def _load_custom_points(spec: InitialSpec) -> np.ndarray:
     return pts
 
 
-def generate_initial(spec: InitialSpec) -> DiscreteCurve:
+def generate_initial(spec: InitialSpec, *, with_margin: bool = False):
     """Build the initial curve for a run.
 
     The cosine graph y = A cos(m*pi*(u+1)/2) (u the abscissa mapped affinely
@@ -152,7 +152,9 @@ def generate_initial(spec: InitialSpec) -> DiscreteCurve:
     y vanishing at the ends, so the contact conditions hold exactly in the
     continuum; it is sampled densely and resampled to n+1 uniform nodes.
     A nonpositive small-energy margin triggers a warning, not an error: the
-    run proceeds, only the decay guarantees are off.
+    run proceeds, only the decay guarantees are off.  With `with_margin`,
+    returns (curve, margin, |k_s|^2 L^3), so that a caller can report the
+    margin without measuring the curve again.
     """
     if spec.kind == "flat":
         x = np.linspace(spec.line_left, spec.line_right, spec.n + 1)
@@ -170,7 +172,8 @@ def generate_initial(spec: InitialSpec) -> DiscreteCurve:
         if curve.n != spec.n:
             curve = resample_uniform(curve, spec.n)
     profile = compute_geometry(curve)
-    margin = small_energy_margin(integrate(profile.k_s ** 2, profile), profile.length)
+    ksnorm2 = integrate(profile.k_s ** 2, profile)
+    margin = small_energy_margin(ksnorm2, profile.length)
     if margin <= 0.0:
         warnings.warn(
             f"small-energy margin is not positive (delta = {margin:.6g}); "
@@ -178,6 +181,8 @@ def generate_initial(spec: InitialSpec) -> DiscreteCurve:
             RuntimeWarning,
             stacklevel=2,
         )
+    if with_margin:
+        return curve, margin, ksnorm2 * profile.length ** 3
     return curve
 
 
@@ -361,14 +366,6 @@ def _write_reports(out: Path, reports: list[CheckReport]) -> Path:
                         "reports": [asdict(report) for report in reports]})
 
 
-def _margin_summary(trajectory: Trajectory) -> str:
-    """The small-energy margin of the initial curve, from the run's first record."""
-    first = trajectory.snapshots[0].record
-    return (f"small-energy margin delta = {first.delta_margin:.6g} "
-            f"(|k_s|^2 L0^3 = {first.ksnorm2 * first.length ** 3:.6g}, "
-            f"threshold = {C0_PI3:.6g})")
-
-
 def _print_summary(trajectory: Trajectory) -> None:
     meta = trajectory.metadata
     final = trajectory.snapshots[-1].record
@@ -435,18 +432,24 @@ def _cmd_flow(args) -> int:
     A `verify` run that records too few snapshots for the checks is still
     written, without verify.json, and exits 2.
     """
-    groups: dict[FlowConfig, list[tuple[str, Path, dict, DiscreteCurve]]] = {}
+    groups: dict[FlowConfig, list[tuple[str, Path, dict, DiscreteCurve, str]]] = {}
     for label, out, config, spec, echo in _plan(args):
-        groups.setdefault(config, []).append((label, out, echo, generate_initial(spec)))
+        curve, margin, ks_l3 = generate_initial(spec, with_margin=True)
+        summary = (f"small-energy margin delta = {margin:.6g} "
+                   f"(|k_s|^2 L0^3 = {ks_l3:.6g}, threshold = {C0_PI3:.6g})")
+        groups.setdefault(config, []).append((label, out, echo, curve, summary))
     failed = False
     too_few = False
     for config, runs in groups.items():
-        extras = [{"config": echo} for _, _, echo, _ in runs]
+        if not args.quiet:
+            for label, _, _, _, summary in runs:
+                print(f"{label}{summary}")
+        extras = [{"config": echo} for _, _, echo, *_ in runs]
         if len(runs) == 1:
             trajectories = [run_flow(config, runs[0][3], extra_metadata=extras[0])]
         else:
             trajectories = run_ensemble(config, [run[3] for run in runs], extras)
-        for (label, out, _, _), trajectory in zip(runs, trajectories):
+        for (label, out, *_), trajectory in zip(runs, trajectories):
             recorded = len(trajectory.snapshots)
             unverifiable = args.command == "verify" and recorded < MIN_SNAPSHOTS
             reports = (_verify_reports(trajectory)
@@ -454,7 +457,6 @@ def _cmd_flow(args) -> int:
             emit(trajectory, reports, out)
             status = trajectory.metadata["termination"]
             if not args.quiet:
-                print(f"{label}{_margin_summary(trajectory)}")
                 _print_summary(trajectory)
                 if reports is not None:
                     _print_reports(reports)

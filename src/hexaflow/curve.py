@@ -20,11 +20,15 @@ TWO_PI = 2.0 * np.pi
 
 SPACING_TOL = 0.01  # relative deviation from uniform spacing the stencils accept
 
-# lines lie within +-LINE_SCALE and at least 1/LINE_SCALE apart: the step
-# raises lengths to the sixth power and the checks square fifth derivatives,
-# so a gap of 2e-30 makes `verify` underflow and one of 2e-60 or 2e60 breaks
-# the step's h**6
-LINE_SCALE = 1e12
+# the gap lies within 1/GAP_SCALE .. GAP_SCALE: the step forms h**6 and the
+# checks square fifth derivatives (gap**12 in all); 1e+-12 keeps that within
+# 1e+-144, where gaps of 2e-30 and 2e60 break `verify` and the step
+GAP_SCALE = 1e12
+
+# rounding moves a node coordinate x by up to |x| 2**-53: within this many
+# spacings h of x = 0 that is at most 2**-10 of the spacing tolerance
+# SPACING_TOL * h (the spacing check first fails near 1e13 spacings)
+OFFSET_SPACINGS = SPACING_TOL * 2.0 ** 43
 
 # one-sided estimates of f', f''', f''''' at s=0 from samples at h..(m+2)h,
 # second-order accurate; used for boundary residuals where the mirrored
@@ -54,11 +58,12 @@ class ResolutionError(CurveError):
     """Tangent angle jumps by more than pi/2 between neighbours; refine the curve."""
 
 
-def check_lines(line_left: float, line_right: float) -> None:
+def check_lines(line_left: float, line_right: float, n: int | None = None) -> None:
     """Reject boundary lines that are not finite, not ordered, or out of scale.
 
-    Out of scale are a gap that overflows, a line beyond +-LINE_SCALE and a
-    gap below 1/LINE_SCALE.
+    Out of scale is a gap beyond 1/GAP_SCALE .. GAP_SCALE and, given the
+    number of segments n, a line more than OFFSET_SPACINGS node spacings
+    (line_right - line_left) / n away from x = 0.
     """
     lines = (("line_left", line_left), ("line_right", line_right))
     for name, value in lines:
@@ -67,14 +72,16 @@ def check_lines(line_left: float, line_right: float) -> None:
     if not line_right > line_left:
         raise ValueError(f"line_right ({line_right}) must exceed line_left ({line_left})")
     gap = line_right - line_left
-    if not math.isfinite(gap):
-        raise ValueError(f"line_right - line_left overflows: {line_right} - ({line_left})")
+    if not 1.0 / GAP_SCALE <= gap <= GAP_SCALE:
+        raise ValueError(f"line_right - line_left must lie within {1.0 / GAP_SCALE:g} .. "
+                         f"{GAP_SCALE:g}, got {gap}")
+    if n is None:
+        return
+    limit = OFFSET_SPACINGS * gap / n
     for name, value in lines:
-        if abs(value) > LINE_SCALE:
-            raise ValueError(f"{name} must lie within +-{LINE_SCALE:g}, got {value}")
-    if gap < 1.0 / LINE_SCALE:
-        raise ValueError(f"line_right - line_left must be at least {1.0 / LINE_SCALE:g}, "
-                         f"got {gap}")
+        if abs(value) > limit:
+            raise ValueError(f"{name} must lie within {OFFSET_SPACINGS:.4g} node spacings of "
+                             f"x = 0 (|{name}| <= {limit:.6g} at n = {n}), got {value}")
 
 
 @dataclass(frozen=True)

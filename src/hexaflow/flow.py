@@ -80,7 +80,7 @@ class FlowConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        check_lines(self.line_left, self.line_right)
+        check_lines(self.line_left, self.line_right, self.n)
         if not self.stop_knorm >= 0.0:
             raise ValueError(f"stop_knorm must be >= 0, got {self.stop_knorm}")
         if self.max_steps < 1:

@@ -12,8 +12,10 @@ resampling tests use it to show that resampling keeps the length.  Only the
 tests use it, so it lives here rather than in the package.
 
 `wrapped_turns` and `lagrange_weights` are the textbook formulas of two
-geometry kernels that the package evaluates with fewer operations; the
-tests hold the package's versions to their bits.
+geometry kernels that the package evaluates with fewer operations, and
+`resample_uniform_reference` is resampling of one curve by `np.interp`,
+`np.searchsorted` and those formulas; the tests hold the package's batched
+versions to their bits.
 """
 from __future__ import annotations
 
@@ -121,3 +123,36 @@ def lagrange_weights(nodes: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ..
             den = den * (nodes[j] - nodes[l])
         weights.append(num / den)
     return tuple(weights)
+
+
+def resample_uniform_reference(points: np.ndarray, m: int, line_left: float,
+                               line_right: float) -> np.ndarray:
+    """The m+1 resampled nodes of one curve, by the arithmetic the package's resampling keeps.
+
+    Segment arcs are chords times 1 + psi^2/24 (psi the mean turn at a
+    segment's ends, the end turn on end segments); the equidistributed arc
+    targets are pulled back to the chord parameter by `np.interp`, the
+    interpolation nodes found by `np.searchsorted`, and the cubic through
+    them evaluated with `lagrange_weights`.  Raises ValueError on
+    coincident neighbours.
+    """
+    pts = np.asarray(points, dtype=float)
+    d = np.diff(pts, axis=0)
+    ds = np.hypot(d[:, 0], d[:, 1])
+    if not (ds > 0.0).all():
+        raise ValueError("coincident neighbouring nodes")
+    turns = wrapped_turns(np.arctan2(d[:, 1], d[:, 0]))
+    psi = np.concatenate([turns[:1], 0.5 * (turns[:-1] + turns[1:]), turns[-1:]])
+    s = np.concatenate([[0.0], np.cumsum(ds * (1.0 + psi * psi / 24.0))])
+    t = np.concatenate([[0.0], np.cumsum(ds)])
+    N = ds.size
+    tau = np.interp(np.linspace(0.0, 1.0, m + 1) * s[-1], s, t)
+    seg = np.clip(np.searchsorted(t, tau) - 1, 0, N - 1)
+    b = np.clip(seg - 1, 0, N - 3)
+    w0, w1, w2, w3 = (w[:, None] for w in lagrange_weights(t[b + np.arange(4)[:, None]], tau))
+    out = w0 * pts[b] + w1 * pts[b + 1] + w2 * pts[b + 2] + w3 * pts[b + 3]
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    out[0, 0] = line_left
+    out[-1, 0] = line_right
+    return out

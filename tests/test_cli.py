@@ -528,12 +528,16 @@ class TestMainEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize("lines, key", [
-        ("line_left: -1e308\nline_right: 0\n", "line_left"),
-        ("line_left: -1e200\nline_right: 1e200\n", "line_left"),
+        ("line_left: -1e308\nline_right: 0\n", "line_right - line_left"),
+        ("line_left: -1e200\nline_right: 1e200\n", "line_right - line_left"),
         ("line_left: -1e-200\nline_right: 1e-200\n", "line_right - line_left"),
-    ], ids=["left-far-out", "both-far-out", "gap-too-small"])
+        ("line_left: 999999999998\nline_right: 1e12\n", "line_left must lie within"),
+        ("line_left: 1\nline_right: 1.000000000001\n", "line_left must lie within"),
+    ], ids=["left-far-out", "both-far-out", "gap-too-small", "far-offset", "offset-tiny-gap"])
     def test_lines_out_of_scale_exit_2(self, tmp_path, capsys, lines, key):
-        # finite lines with a finite gap whose arithmetic would overflow or underflow
+        # finite lines with a finite gap whose arithmetic would overflow or
+        # underflow, or so far from x = 0 against the node spacing that
+        # rounding the nodes breaks the spacing check
         cfg = self._write_config(tmp_path, lines + "A: 0\n")
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -544,7 +548,8 @@ class TestMainEntry:
         assert not out.exists()
 
     def test_run_measures_the_initial_curve_once(self, tmp_path, capsys, monkeypatch):
-        # the margin line reads the run's first record instead of measuring again
+        # the margin line reuses generate_initial's measurement and still
+        # comes before the run
         measured = []
         real = hexaflow.cli.compute_geometry
 
@@ -555,7 +560,9 @@ class TestMainEntry:
         monkeypatch.setattr("hexaflow.cli.compute_geometry", counting)
         assert main(["run", "--config", self._write_config(tmp_path),
                      "--out", str(tmp_path / "out")]) == 0
-        assert "small-energy margin delta = " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("small-energy margin delta = ")
+        assert out.index("small-energy margin") < out.index("run finished")
         assert measured == [64]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):

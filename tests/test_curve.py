@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from hexaflow import (
     DegenerateCurveError,
     DiscreteCurve,
+    FlowConfig,
     InitialSpec,
     ResolutionError,
     SpacingError,
@@ -21,9 +22,11 @@ from hexaflow import (
     generate_initial,
     integrate,
     resample_uniform,
+    run_flow,
 )
 from hexaflow.curve import (
-    LINE_SCALE,
+    GAP_SCALE,
+    OFFSET_SPACINGS,
     _lagrange_weights,
     _search_sorted_rows,
     _segment_data,
@@ -38,6 +41,7 @@ from oracles import (
     arc_length,
     lagrange_velocity,
     lagrange_weights,
+    resample_uniform_reference,
     wrapped_turns,
 )
 
@@ -86,14 +90,38 @@ class TestCurveValidation:
         assert not curve.points.flags.writeable
 
     def test_line_scale_limits_are_inclusive(self):
-        check_lines(-LINE_SCALE, LINE_SCALE)
-        check_lines(0.0, 1.0 / LINE_SCALE)
-        with pytest.raises(ValueError, match="line_right must lie within"):
-            check_lines(0.0, np.nextafter(LINE_SCALE, np.inf))
+        check_lines(0.0, GAP_SCALE)
+        check_lines(0.0, 1.0 / GAP_SCALE)
+        with pytest.raises(ValueError, match="line_right - line_left must lie within"):
+            check_lines(0.0, np.nextafter(GAP_SCALE, np.inf))
+        with pytest.raises(ValueError, match="line_right - line_left must lie within"):
+            check_lines(0.0, np.nextafter(1.0 / GAP_SCALE, 0.0))
+        # a node spacing of 1/64: the lines may lie OFFSET_SPACINGS / 64 from x = 0
+        limit = OFFSET_SPACINGS / 64.0
+        check_lines(-limit, 2.0 - limit, 128)
+        check_lines(limit - 2.0, limit, 128)
+        check_lines(limit, limit + 4.0)     # without n the offset is not bounded
+        beyond = limit * (1.0 + 1e-9)   # moving a line changes the gap, and the limit, by less
         with pytest.raises(ValueError, match="line_left must lie within"):
-            check_lines(np.nextafter(-LINE_SCALE, -np.inf), 0.0)
-        with pytest.raises(ValueError, match="line_right - line_left must be at least"):
-            check_lines(0.0, np.nextafter(1.0 / LINE_SCALE, 0.0))
+            check_lines(-beyond, 2.0 - beyond, 128)
+        with pytest.raises(ValueError, match="line_right must lie within"):
+            check_lines(beyond - 2.0, beyond, 128)
+
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_lines_at_the_offset_limit_run(self, n):
+        # the farthest lines resample and step with uniform spacing; the
+        # bound does not keep accuracy: at n = 1024 the rounding of the
+        # absolute coordinates turns the initial margin negative (a warning)
+        right = OFFSET_SPACINGS * 2.0 / n
+        config = FlowConfig(n=n, t_end=1.0, line_left=right - 2.0, line_right=right,
+                            max_steps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            curve = generate_initial(InitialSpec(kind="cosine-graph", n=n,
+                                                 line_left=right - 2.0, line_right=right))
+        trajectory = run_flow(config, curve)
+        assert trajectory.metadata["termination"] == "max_steps"
+        assert trajectory.metadata["rejections"] == 0
 
 
 class TestGeometryOracles:
@@ -299,8 +327,14 @@ def _stack_rows() -> list[np.ndarray]:
     return rows
 
 
+def _reference(pts: np.ndarray, m: int) -> np.ndarray:
+    """`resample_uniform_reference` between the lines x = -1 and 1, rejecting what the package rejects."""
+    curve = DiscreteCurve(pts, -1.0, 1.0)
+    return DiscreteCurve(resample_uniform_reference(curve.points, m, -1.0, 1.0), -1.0, 1.0).points
+
+
 class TestStackKernels:
-    """The batched kernels against the single-curve functions, row by row."""
+    """The batched kernels against the single-curve functions and references, row by row."""
 
     def test_geometry_rows_equal_single_results(self):
         rows = _stack_rows()
@@ -330,12 +364,12 @@ class TestStackKernels:
         out, valid = resample_uniform_stack(np.stack(rows), m, -1.0, 1.0)
         for b, pts in enumerate(rows):
             try:
-                single = resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m)
+                single = _reference(pts, m)
             except ValueError:
                 assert not valid[b], b
                 continue
             assert valid[b], b
-            assert np.array_equal(out[b], single.points), b
+            assert np.array_equal(out[b], single), b
 
     @given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["left", "right"]))
     @settings(max_examples=50, deadline=None)
@@ -348,7 +382,10 @@ class TestStackKernels:
         shifted = queries if side == "left" else np.nextafter(queries, np.inf)
         found = _search_sorted_rows(table, shifted)
         for b in range(3):
-            assert found[b].tolist() == np.searchsorted(table[b], queries[b], side).tolist()
+            want = np.searchsorted(table[b], queries[b], side).tolist()
+            assert found[b].tolist() == want
+            # one row alone goes to np.searchsorted, as a run of one curve does
+            assert _search_sorted_rows(table[b:b + 1], shifted[b:b + 1])[0].tolist() == want
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(16, 70))
     @settings(max_examples=25, deadline=None)
@@ -365,8 +402,9 @@ class TestStackKernels:
         out, valid = resample_uniform_stack(np.stack(rows), m, -1.0, 1.0)
         assert valid.all()
         for b, pts in enumerate(rows):
-            single = resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m)
-            assert np.array_equal(out[b], single.points)
+            single = _reference(pts, m)
+            assert np.array_equal(out[b], single)
+            assert np.array_equal(resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m).points, single)
 
     @pytest.mark.parametrize("m", [16, 32, 64])
     def test_resample_with_targets_on_nodes_is_bitwise_single(self, m):
@@ -387,8 +425,10 @@ class TestStackKernels:
         out, valid = resample_uniform_stack(np.stack(rows), m, -1.0, 1.0)
         assert valid.all()
         for b, pts in enumerate(rows):
-            single = resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m)
-            assert np.array_equal(out[b], single.points), b
+            single = _reference(pts, m)
+            assert np.array_equal(out[b], single), b
+            assert np.array_equal(resample_uniform(DiscreteCurve(pts, -1.0, 1.0), m).points,
+                                  single), b
         if m == 32:
             assert np.array_equal(out[0], rows[0])
             assert np.array_equal(out[1], rows[1])
