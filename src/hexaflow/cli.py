@@ -45,7 +45,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .curve import DiscreteCurve, check_lines, compute_geometry, integrate, resample_uniform
+from .curve import (
+    CurveError,
+    DiscreteCurve,
+    check_lines,
+    compute_geometry,
+    integrate,
+    resample_uniform,
+)
 from .diagnostics import C0_PI3, Trajectory, small_energy_margin
 from .flow import FlowConfig, run_ensemble, run_flow
 from .verify import (
@@ -430,11 +437,17 @@ def _cmd_flow(args) -> int:
     """`run`, `verify` and `sweep`: exit 1 if a run underflows or a check fails.
 
     A `verify` run that records too few snapshots for the checks is still
-    written, without verify.json, and exits 2.
+    written, without verify.json, and exits 2.  An initial curve that cannot
+    be built is reported with its cell's label, n, A and m, before any run.
     """
     groups: dict[FlowConfig, list[tuple[str, Path, dict, DiscreteCurve, str]]] = {}
     for label, out, config, spec, echo in _plan(args):
-        curve, margin, ks_l3 = generate_initial(spec, with_margin=True)
+        try:
+            curve, margin, ks_l3 = generate_initial(spec, with_margin=True)
+        except CurveError as exc:
+            raise ConfigError(f"{label}cannot build the {spec.kind} initial curve with "
+                              f"n = {spec.n}, A = {spec.amplitude}, m = {spec.mode}: "
+                              f"{exc}") from exc
         summary = (f"small-energy margin delta = {margin:.6g} "
                    f"(|k_s|^2 L0^3 = {ks_l3:.6g}, threshold = {C0_PI3:.6g})")
         groups.setdefault(config, []).append((label, out, echo, curve, summary))

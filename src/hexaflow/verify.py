@@ -297,25 +297,31 @@ def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000) -> CheckReport
     check_psw on each sample.  The report carries the worst excess over all
     samples and enough context to reproduce any offender from the seed.
     """
+    if samples_per_mode < 1:
+        raise ValueError(f"samples_per_mode must be at least 1, got {samples_per_mode}")
     rng = np.random.default_rng(seed)
     s = np.linspace(0.0, PSW_LENGTH, PSW_GRID + 1)
     modes = np.arange(1, PSW_MAX_MODE + 1)
     cos_basis = np.cos(np.outer(modes, s) * (math.pi / PSW_LENGTH))
     sin_basis = np.sin(np.outer(modes, s) * (math.pi / PSW_LENGTH))
+    # One block buffer, refilled in place: a fresh product per block would keep
+    # the previous block alive while the next is formed.  check_psw reads one
+    # row at a time and the kept report holds no array.  The product stays
+    # whole, since a row-blocked product rounds differently.
+    fields = np.empty((samples_per_mode, PSW_GRID + 1))
     worst: CheckReport | None = None
     worst_label = "none"
     checked = 0
     for cap in modes:
         for family, basis in (("mean-zero", cos_basis), ("dirichlet", sin_basis)):
             coeffs = rng.standard_normal((samples_per_mode, cap))
-            fields = coeffs @ basis[:cap]
+            np.matmul(coeffs, basis[:cap], out=fields)
             for index in range(samples_per_mode):
                 report = check_psw(fields[index], PSW_LENGTH, family)
                 checked += 1
                 if worst is None or report.residual > worst.residual:
                     worst = report
                     worst_label = f"family={family}, mode_cap={cap}, sample={index}"
-    assert worst is not None
     return CheckReport(
         name="psw-sample-study",
         lhs=worst.lhs,

@@ -16,10 +16,25 @@ geometry kernels that the package evaluates with fewer operations, and
 `resample_uniform_reference` is resampling of one curve by `np.interp`,
 `np.searchsorted` and those formulas; the tests hold the package's batched
 versions to their bits.
+
+`psw_sample_study_reference` is the Poincare sample study as it was written
+before it reused one sample buffer: each block is a fresh product, so the
+tests can hold the package's study to the same report.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from hexaflow.verify import (
+    PSW_GRID,
+    PSW_LENGTH,
+    PSW_MAX_MODE,
+    PSW_TOLERANCE,
+    CheckReport,
+    check_psw,
+)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -156,3 +171,43 @@ def resample_uniform_reference(points: np.ndarray, m: int, line_left: float,
     out[0, 0] = line_left
     out[-1, 0] = line_right
     return out
+
+
+def psw_sample_study_reference(seed: int = 0, samples_per_mode: int = 1000) -> CheckReport:
+    """Brute-force the Poincare-type inequalities over random trig samples.
+
+    For every mode cap q = 1..PSW_MAX_MODE and both sample families (cosine
+    sums are mean-zero, sine sums vanish at the ends), draws seeded Gaussian
+    coefficient vectors on PSW_GRID + 1 points of [0, PSW_LENGTH] and runs
+    check_psw on each sample.  The report carries the worst excess over all
+    samples and enough context to reproduce any offender from the seed.
+    """
+    rng = np.random.default_rng(seed)
+    s = np.linspace(0.0, PSW_LENGTH, PSW_GRID + 1)
+    modes = np.arange(1, PSW_MAX_MODE + 1)
+    cos_basis = np.cos(np.outer(modes, s) * (math.pi / PSW_LENGTH))
+    sin_basis = np.sin(np.outer(modes, s) * (math.pi / PSW_LENGTH))
+    worst: CheckReport | None = None
+    worst_label = "none"
+    checked = 0
+    for cap in modes:
+        for family, basis in (("mean-zero", cos_basis), ("dirichlet", sin_basis)):
+            coeffs = rng.standard_normal((samples_per_mode, cap))
+            fields = coeffs @ basis[:cap]
+            for index in range(samples_per_mode):
+                report = check_psw(fields[index], PSW_LENGTH, family)
+                checked += 1
+                if worst is None or report.residual > worst.residual:
+                    worst = report
+                    worst_label = f"family={family}, mode_cap={cap}, sample={index}"
+    assert worst is not None
+    return CheckReport(
+        name="psw-sample-study",
+        lhs=worst.lhs,
+        rhs=worst.rhs,
+        residual=float(worst.residual),
+        tolerance=PSW_TOLERANCE,
+        context=(f"{checked} samples ({samples_per_mode} per mode cap and family, "
+                 f"mode caps 1..{PSW_MAX_MODE}, grid {PSW_GRID}, seed {seed}); "
+                 f"worst: {worst_label}; {worst.context}"),
+    )

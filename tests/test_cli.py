@@ -429,6 +429,22 @@ class TestMainEntry:
         assert "half the line gap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_cell_that_cannot_be_built_is_named(self, tmp_path, capsys):
+        # at m = 3 and A = 0.45 resampling leaves the spacing 3.4% (n = 32)
+        # and 1.0% (n = 64) off uniform, past SPACING_TOL
+        path = tmp_path / "sweep.yaml"
+        path.write_text("A: [0.05, 0.45]\nm: [3]\nn: [32, 64]\nt_end: 0.002\n"
+                        "init: cosine-graph\n")
+        out = tmp_path / "cells"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cell A0.45_m3_n32: ")
+        assert "n = 32, A = 0.45, m = 3" in err
+        assert "spacing deviates" in err
+        assert not out.exists()
+
     def test_sweep_empty_grid_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sweep.yaml"
         path.write_text("n: 32\nA: []\nt_end: 0.002\ninit: cosine-graph\n")

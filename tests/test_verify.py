@@ -1,7 +1,9 @@
 """Verification laboratory: identities, inequalities, boundary hierarchy."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +26,9 @@ from hexaflow import (
     normal_speed,
     psw_sample_study,
 )
-from hexaflow.verify import _centered_dt
+from hexaflow.verify import PSW_GRID, _centered_dt
 
-from oracles import COSINE_A005_M1
+from oracles import COSINE_A005_M1, psw_sample_study_reference
 
 
 class TestCheckReport:
@@ -225,3 +227,26 @@ class TestSampleStudy:
         report = psw_sample_study(seed=1, samples_per_mode=25)
         assert "family=" in report.context
         assert "sample=" in report.context
+
+    @pytest.mark.parametrize("seed, samples_per_mode", [(0, 1000), (1, 25), (3, 40)])
+    def test_matches_the_fresh_block_reference(self, seed, samples_per_mode):
+        # refilling one buffer leaves every product, and so the report, bit-identical
+        assert (dataclasses.asdict(psw_sample_study(seed, samples_per_mode))
+                == dataclasses.asdict(psw_sample_study_reference(seed, samples_per_mode)))
+
+    def test_keeps_one_sample_block_alive(self):
+        samples = 400
+        block = samples * (PSW_GRID + 1) * 8
+        psw_sample_study(seed=0, samples_per_mode=1)  # lazy one-time set-up outside the trace
+        tracemalloc.start()
+        try:
+            psw_sample_study(seed=0, samples_per_mode=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block
+
+    @pytest.mark.parametrize("samples_per_mode", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, samples_per_mode):
+        with pytest.raises(ValueError, match="samples_per_mode"):
+            psw_sample_study(seed=0, samples_per_mode=samples_per_mode)
