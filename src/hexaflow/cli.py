@@ -22,7 +22,7 @@ a field without a default is a required key.  Keys and defaults:
   dt_safety       step factor in (0, 1] (default 0.1)
   snapshot_every  steps between snapshots (default 100)
   line_left       left boundary line abscissa (default -1.0)
-  line_right      right boundary line abscissa (default 1.0; see check_lines for their scale)
+  line_right      right boundary line abscissa (default 1.0; 1e-12 .. 1e12 from line_left)
   stop_knorm      terminate when sup|k| drops below this (default 0, disabled)
   max_steps       step cap (default 10000000)
   path            source file for custom-file initial data
@@ -30,6 +30,10 @@ a field without a default is a required key.  Keys and defaults:
 
 Unknown keys are rejected so misspellings cannot silently fall back to
 defaults.  All defaults are echoed into the run metadata.
+
+Runs step between x = -1 and 1; only this module knows a document's lines.
+With half = (line_right - line_left) / 2 and mid their midpoint, x maps to
+(x - mid) / half, y to y / half and t to t / half**6, and back on output.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -75,6 +79,8 @@ CSV_COLUMNS = (
     "k_inf", "ks_inf", "delta_margin", "dissipation",
     "bc_ks_left", "bc_ks_right", "bc_ksss_left", "bc_ksss_right",
 )
+# the power of half by which each column goes from reference to document units
+CSV_POWERS = (6, 0, 1, -3, -1, -3, -5, -1, -2, 0, -9, -2, -2, -4, -4)
 
 
 class ConfigError(ValueError):
@@ -99,7 +105,7 @@ class InitialSpec:
             raise ValueError(f"unknown initial kind {self.kind!r}")
         if self.n < 16:
             raise ValueError(f"n must be >= 16, got {self.n}")
-        check_lines(self.line_left, self.line_right, self.n)
+        check_lines(self.line_left, self.line_right)
         if self.kind == "cosine-graph":
             half_gap = 0.5 * (self.line_right - self.line_left)
             if not 0.0 <= self.amplitude < half_gap:
@@ -111,6 +117,12 @@ class InitialSpec:
                 raise ValueError(f"m must be a positive integer, got {self.mode}")
         if self.kind == "custom-file" and not self.path:
             raise ValueError("custom-file initial data needs a 'path' key")
+
+
+def _frame(config) -> tuple[float, float]:
+    """half and mid of the lines a config names (default -1 and 1): x = mid + half * xi."""
+    left, right = config.get("line_left", -1.0), config.get("line_right", 1.0)
+    return 0.5 * (right - left), 0.5 * (left + right)
 
 
 def _load_custom_points(spec: InitialSpec) -> np.ndarray:
@@ -146,41 +158,42 @@ def _load_custom_points(spec: InitialSpec) -> np.ndarray:
             f"{spec.path}: endpoint abscissae {pts[0, 0]}, {pts[-1, 0]} do not "
             f"match the configured lines {spec.line_left}, {spec.line_right}"
         )
-    pts[0, 0] = spec.line_left
-    pts[-1, 0] = spec.line_right
+    half, mid = _frame(vars(spec))
+    pts[:, 0] -= mid
+    pts /= half
+    pts[[0, -1], 0] = -1.0, 1.0
     return pts
 
 
 def generate_initial(spec: InitialSpec, *, with_margin: bool = False):
-    """Build the initial curve for a run.
+    """Build the initial curve for a run, between the lines x = -1 and 1.
 
-    The cosine graph y = A cos(m*pi*(u+1)/2) (u the abscissa mapped affinely
-    to [-1, 1]) meets both lines perpendicularly with every odd derivative of
-    y vanishing at the ends, so the contact conditions hold exactly in the
-    continuum; it is sampled densely and resampled to n+1 uniform nodes.
-    A nonpositive small-energy margin triggers a warning, not an error: the
-    run proceeds, only the decay guarantees are off.  With `with_margin`,
-    returns (curve, margin, |k_s|^2 L^3), so that a caller can report the
-    margin without measuring the curve again.
+    The cosine graph y = (A / half) cos(m*pi*(u+1)/2), u in [-1, 1], meets
+    both lines perpendicularly with every odd derivative of y vanishing at
+    the ends, so the contact conditions hold exactly in the continuum; it is
+    sampled densely and resampled to n+1 uniform nodes.  A nonpositive
+    small-energy margin (scale-free, so that of the document's curve too)
+    triggers a warning, not an error: the run proceeds, only the decay
+    guarantees are off.  With `with_margin`, returns (curve, margin,
+    |k_s|^2 L^3) and leaves reporting the margin to the caller.
     """
     if spec.kind == "flat":
-        x = np.linspace(spec.line_left, spec.line_right, spec.n + 1)
-        curve = DiscreteCurve(np.column_stack([x, np.zeros_like(x)]),
-                              spec.line_left, spec.line_right)
+        x = np.linspace(-1.0, 1.0, spec.n + 1)
+        curve = DiscreteCurve(np.column_stack([x, np.zeros_like(x)]))
     elif spec.kind == "cosine-graph":
-        x = np.linspace(spec.line_left, spec.line_right, DENSE_SAMPLES + 1)
-        u = (2.0 * x - (spec.line_left + spec.line_right)) / (spec.line_right - spec.line_left)
-        y = spec.amplitude * np.cos(0.5 * spec.mode * math.pi * (u + 1.0))
-        dense = DiscreteCurve(np.column_stack([x, y]), spec.line_left, spec.line_right)
-        curve = resample_uniform(dense, spec.n)
+        half, _ = _frame(vars(spec))
+        u = np.linspace(-1.0, 1.0, DENSE_SAMPLES + 1)
+        y = spec.amplitude / half * np.cos(0.5 * spec.mode * math.pi * (u + 1.0))
+        curve = resample_uniform(DiscreteCurve(np.column_stack([u, y])), spec.n)
     else:
-        pts = _load_custom_points(spec)
-        curve = DiscreteCurve(pts, spec.line_left, spec.line_right)
+        curve = DiscreteCurve(_load_custom_points(spec))
         if curve.n != spec.n:
             curve = resample_uniform(curve, spec.n)
     profile = compute_geometry(curve)
     ksnorm2 = integrate(profile.k_s ** 2, profile)
     margin = small_energy_margin(ksnorm2, profile.length)
+    if with_margin:
+        return curve, margin, ksnorm2 * profile.length ** 3
     if margin <= 0.0:
         warnings.warn(
             f"small-energy margin is not positive (delta = {margin:.6g}); "
@@ -188,8 +201,6 @@ def generate_initial(spec: InitialSpec, *, with_margin: bool = False):
             RuntimeWarning,
             stacklevel=2,
         )
-    if with_margin:
-        return curve, margin, ksnorm2 * profile.length ** 3
     return curve
 
 
@@ -215,8 +226,8 @@ _YAML_KEY = {"kind": "init", "amplitude": "A", "mode": "m"}  # field name -> key
 def _config_keys() -> dict:
     """Every configuration key and the dataclass field it sets.
 
-    FlowConfig comes first, so a key both classes share (n, the lines) takes
-    its default from FlowConfig: n has none there and is therefore required.
+    FlowConfig comes first, so n, which both classes have, takes its default
+    from FlowConfig: it has none there and is therefore required.
     """
     keys = {}
     for f in fields(FlowConfig) + fields(InitialSpec):
@@ -234,9 +245,9 @@ def _field_values(cls, echo: dict) -> dict:
 def parse_config(text: str) -> tuple[FlowConfig, InitialSpec, dict]:
     """Parse a YAML configuration document into validated run parameters.
 
-    Returns the flow configuration, the initial-curve recipe, and the full
-    echo of every key with defaults filled in (recorded into run metadata).
-    Unknown keys, type mismatches and constraint violations raise
+    Returns the flow configuration (in the reference frame), the
+    initial-curve recipe, and the full echo of every key with defaults filled
+    in (recorded into run metadata).  Unknown keys, type mismatches and constraint violations raise
     ConfigError naming the key.
     """
     return _config_from_dict(_load_document(text))
@@ -286,7 +297,9 @@ def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
         raise ConfigError(f"key 'path': expected a file name, got {echo['path']!r}")
     try:
         spec = InitialSpec(**_field_values(InitialSpec, echo))
-        config = FlowConfig(**_field_values(FlowConfig, echo))
+        half, _ = _frame(echo)
+        config = replace(FlowConfig(**_field_values(FlowConfig, echo)),
+                         t_end=echo["t_end"] / half ** 6, stop_knorm=echo["stop_knorm"] * half)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, spec, echo
@@ -325,10 +338,14 @@ def _format_number(value: float) -> str:
 def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> list[Path]:
     """Write diagnostics.csv, snapshots.json and (given reports) verify.json.
 
-    Numbers are serialized in full round-trip precision and every mapping is
-    key-sorted, so identical inputs produce byte-identical files.  The
-    wall-time field of the run metadata is deliberately excluded.
+    Times, points and diagnostics are mapped to the lines of the metadata's
+    config; verify.json stays in reference units.  Numbers are serialized in
+    full round-trip precision and every mapping is key-sorted, so identical
+    inputs produce byte-identical files.  The wall-time field of the run
+    metadata is deliberately excluded.
     """
+    half, mid = _frame(trajectory.metadata.get("config", {}))
+    scales = [half ** power for power in CSV_POWERS]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -346,15 +363,21 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
                 bc.get("ks_left", 0.0), bc.get("ks_right", 0.0),
                 bc.get("ksss_left", 0.0), bc.get("ksss_right", 0.0),
             ]
-            fh.write(",".join(_format_number(v) for v in row) + "\n")
+            fh.write(",".join(_format_number(v * scale) for v, scale in zip(row, scales))
+                     + "\n")
     written.append(csv_path)
 
     meta = {k: v for k, v in trajectory.metadata.items() if k != "wall_time"}
     meta["schema_version"] = SCHEMA_VERSION
-    frames = [
-        {"t": snap.time, "points": snap.curve.points.tolist()}
-        for snap in trajectory.snapshots
-    ]
+    time_scale = half ** 6
+    if "final_time" in meta:
+        meta["final_time"] *= time_scale
+    frames = []
+    for snap in trajectory.snapshots:
+        points = snap.curve.points * half
+        if mid:  # adding 0.0 would turn a -0.0 abscissa into 0.0
+            points[:, 0] += mid
+        frames.append({"t": snap.time * time_scale, "points": points.tolist()})
     written.append(_write_json(out / "snapshots.json", {"meta": meta, "frames": frames}))
     if reports is not None:
         written.append(_write_reports(out, reports))
@@ -376,10 +399,11 @@ def _write_reports(out: Path, reports: list[CheckReport]) -> Path:
 def _print_summary(trajectory: Trajectory) -> None:
     meta = trajectory.metadata
     final = trajectory.snapshots[-1].record
+    half, _ = _frame(meta.get("config", {}))
     print(f"run finished: termination={meta['termination']} steps={meta['steps']} "
-          f"t={meta['final_time']:.6g} snapshots={len(trajectory.snapshots)}")
-    print(f"final: L={final.length:.9g} energy={final.energy:.6g} "
-          f"k_inf={final.k_inf:.6g} omega={final.omega:.3g}")
+          f"t={meta['final_time'] * half ** 6:.6g} snapshots={len(trajectory.snapshots)}")
+    print(f"final: L={final.length * half:.9g} energy={final.energy * half ** -3:.6g} "
+          f"k_inf={final.k_inf * half ** -1:.6g} omega={final.omega:.3g}")
 
 
 def _print_reports(reports: list[CheckReport]) -> None:
@@ -437,10 +461,12 @@ def _cmd_flow(args) -> int:
     """`run`, `verify` and `sweep`: exit 1 if a run underflows or a check fails.
 
     A `verify` run that records too few snapshots for the checks is still
-    written, without verify.json, and exits 2.  An initial curve that cannot
-    be built is reported with its cell's label, n, A and m, before any run.
+    written, without verify.json, and exits 2.  An unbuildable initial curve
+    (an error) or a nonpositive margin (a line on standard error) is named
+    with its cell's label, n, A and m, before any run.
     """
     groups: dict[FlowConfig, list[tuple[str, Path, dict, DiscreteCurve, str]]] = {}
+    notes = []
     for label, out, config, spec, echo in _plan(args):
         try:
             curve, margin, ks_l3 = generate_initial(spec, with_margin=True)
@@ -448,9 +474,13 @@ def _cmd_flow(args) -> int:
             raise ConfigError(f"{label}cannot build the {spec.kind} initial curve with "
                               f"n = {spec.n}, A = {spec.amplitude}, m = {spec.mode}: "
                               f"{exc}") from exc
+        if margin <= 0.0:
+            notes.append(f"{label}small-energy margin is not positive (delta = {margin:.6g}) "
+                         f"at n = {spec.n}, A = {spec.amplitude}, m = {spec.mode}\n")
         summary = (f"small-energy margin delta = {margin:.6g} "
                    f"(|k_s|^2 L0^3 = {ks_l3:.6g}, threshold = {C0_PI3:.6g})")
         groups.setdefault(config, []).append((label, out, echo, curve, summary))
+    sys.stderr.write("".join(notes))
     failed = False
     too_few = False
     for config, runs in groups.items():

@@ -1,7 +1,8 @@
 """Discrete open curves pinned to two vertical lines, and their geometry.
 
 A curve is a polyline of n+1 nodes whose endpoints sit exactly on the
-boundary lines x = line_left and x = line_right.  All geometry (curvature
+boundary lines x = line_left and x = line_right, by default the reference
+lines x = -1 and 1 between which every run steps.  All geometry (curvature
 and its arc-length derivatives up to fifth order) is computed from
 tangent-angle differences on a mirror-extended node set, so that the
 odd-order derivative conditions at the boundary hold by stencil symmetry.
@@ -20,15 +21,10 @@ TWO_PI = 2.0 * np.pi
 
 SPACING_TOL = 0.01  # relative deviation from uniform spacing the stencils accept
 
-# the gap lies within 1/GAP_SCALE .. GAP_SCALE: the step forms h**6 and the
-# checks square fifth derivatives (gap**12 in all); 1e+-12 keeps that within
-# 1e+-144, where gaps of 2e-30 and 2e60 break `verify` and the step
+# the gap lies within 1/GAP_SCALE .. GAP_SCALE: a document's lines are mapped
+# to x = -1 and 1 and its outputs back by powers half**-9 .. half**6 of the
+# half gap, and 1e+-12 keeps all of them finite and normal (within 1e+-111)
 GAP_SCALE = 1e12
-
-# rounding moves a node coordinate x by up to |x| 2**-53: within this many
-# spacings h of x = 0 that is at most 2**-10 of the spacing tolerance
-# SPACING_TOL * h (the spacing check first fails near 1e13 spacings)
-OFFSET_SPACINGS = SPACING_TOL * 2.0 ** 43
 
 # one-sided estimates of f', f''', f''''' at s=0 from samples at h..(m+2)h,
 # second-order accurate; used for boundary residuals where the mirrored
@@ -58,15 +54,9 @@ class ResolutionError(CurveError):
     """Tangent angle jumps by more than pi/2 between neighbours; refine the curve."""
 
 
-def check_lines(line_left: float, line_right: float, n: int | None = None) -> None:
-    """Reject boundary lines that are not finite, not ordered, or out of scale.
-
-    Out of scale is a gap beyond 1/GAP_SCALE .. GAP_SCALE and, given the
-    number of segments n, a line more than OFFSET_SPACINGS node spacings
-    (line_right - line_left) / n away from x = 0.
-    """
-    lines = (("line_left", line_left), ("line_right", line_right))
-    for name, value in lines:
+def check_lines(line_left: float, line_right: float) -> None:
+    """Reject lines that are not finite, not ordered, or a gap outside 1/GAP_SCALE .. GAP_SCALE."""
+    for name, value in (("line_left", line_left), ("line_right", line_right)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not line_right > line_left:
@@ -75,13 +65,6 @@ def check_lines(line_left: float, line_right: float, n: int | None = None) -> No
     if not 1.0 / GAP_SCALE <= gap <= GAP_SCALE:
         raise ValueError(f"line_right - line_left must lie within {1.0 / GAP_SCALE:g} .. "
                          f"{GAP_SCALE:g}, got {gap}")
-    if n is None:
-        return
-    limit = OFFSET_SPACINGS * gap / n
-    for name, value in lines:
-        if abs(value) > limit:
-            raise ValueError(f"{name} must lie within {OFFSET_SPACINGS:.4g} node spacings of "
-                             f"x = 0 (|{name}| <= {limit:.6g} at n = {n}), got {value}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +72,8 @@ class DiscreteCurve:
     """Polyline with endpoints pinned exactly to two vertical lines."""
 
     points: np.ndarray          # (n+1, 2) float64 node positions
-    line_left: float
-    line_right: float
+    line_left: float = -1.0
+    line_right: float = 1.0
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -438,12 +421,6 @@ def _clamp(index: np.ndarray, top: int) -> np.ndarray:
     return np.minimum(np.maximum(index, 0, out=index), top, out=index)
 
 
-def _pin(points: np.ndarray, line_left: float, line_right: float) -> None:
-    """Put the end nodes of (..., n+1, 2) points exactly on their lines."""
-    points[..., 0, 0] = line_left
-    points[..., -1, 0] = line_right
-
-
 def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     """Resample to m+1 nodes at equal arc spacing along the cubic interpolant.
 
@@ -452,7 +429,7 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     pulled back to the chord parameter, where the piecewise 4-point Lagrange
     interpolant is evaluated.  Endpoints are preserved exactly.
     """
-    out, valid = resample_uniform_stack(curve.points[None], m, curve.line_left, curve.line_right)
+    out, valid = resample_uniform_stack(curve.points[None], m)
     if not valid[0]:
         _segment_data(curve.points)  # names a pair of coincident nodes, if there is one
     return DiscreteCurve(out[0], curve.line_left, curve.line_right)
@@ -488,8 +465,7 @@ def _search_sorted_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
 _STENCIL = np.arange(4)[:, None, None]
 
 
-def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
-                           line_right: float) -> tuple[np.ndarray, np.ndarray]:
+def resample_uniform_stack(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """`resample_uniform` of every curve in a (B, n+1, 2) stack at once.
 
     Returns the (B, m+1, 2) resampled nodes and a (B,) mask that is False
@@ -526,6 +502,5 @@ def resample_uniform_stack(points: np.ndarray, m: int, line_left: float,
             out[..., axis] = w0 * c[0] - w1 * c[1] + w2 * c[2] - w3 * c[3]
         out[:, 0] = points[:, 0]
         out[:, -1] = points[:, -1]
-        _pin(out, line_left, line_right)
         valid &= np.isfinite(out).all(axis=(1, 2))
     return out, valid

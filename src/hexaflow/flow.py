@@ -1,10 +1,11 @@
 """Time integration of the sixth-order straightening flow.
 
-The curve moves with normal speed F = k_s4 + k^2 k_ss - (1/2) k k_s^2.  Each
-step treats the stiff leading term implicitly through the sixth arc-length
-difference of position (an explicit method would need dt of order h^6),
-solves one septa-diagonal system per coordinate, re-pins the endpoints and
-resamples to uniform spacing.
+The curve moves with normal speed F = k_s4 + k^2 k_ss - (1/2) k k_s^2
+between the lines x = -1 and 1 (the flow is invariant under x -> c x,
+t -> c^6 t, so `cli` maps other lines to these).  Each step treats the stiff
+leading term implicitly through the sixth arc-length difference of position
+(an explicit method would need dt of order h^6), solves one septa-diagonal
+system per coordinate, re-pins the endpoints and resamples to uniform spacing.
 
 One step, two loops.  `_advance` steps a (B, n+1, 2) stack of curves: the
 right-hand side, the re-pinning and the geometry and resampling kernels of
@@ -43,8 +44,6 @@ from .curve import (
     DiscreteCurve,
     GeometryProfile,
     GeometryStack,
-    _pin,
-    check_lines,
     compute_geometry,
     compute_geometry_stack,
     resample_uniform,
@@ -60,14 +59,12 @@ DT_FLOOR_FACTOR = 1e-14
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Immutable parameters of one run."""
+    """Immutable parameters of one run, t_end and stop_knorm in the frame of x = -1 and 1."""
 
     n: int
     t_end: float
     dt_safety: float = 0.1
     snapshot_every: int = 100
-    line_left: float = -1.0
-    line_right: float = 1.0
     stop_knorm: float = 0.0
     max_steps: int = 10_000_000
 
@@ -80,7 +77,6 @@ class FlowConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        check_lines(self.line_left, self.line_right, self.n)
         if not self.stop_knorm >= 0.0:
             raise ValueError(f"stop_knorm must be >= 0, got {self.stop_knorm}")
         if self.max_steps < 1:
@@ -174,8 +170,8 @@ def _solve_mirror(rhs: np.ndarray, dt: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n + 1]
 
 
-def _advance(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray, line_left: float,
-             line_right: float, solve) -> tuple[np.ndarray, GeometryStack]:
+def _advance(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray,
+             solve) -> tuple[np.ndarray, GeometryStack]:
     """One linearly-implicit step of every curve of a (B, n+1, 2) stack, member b by dt[b].
 
     Solves (I - dt * D6) applied to the position increment against dt * F * nu
@@ -198,27 +194,28 @@ def _advance(points: np.ndarray, geometry: GeometryStack, dt: np.ndarray, line_l
     rhs_x[:, 0] = 0.0
     rhs_x[:, n] = 0.0
     moved = points + solve(rhs, dt, geometry.h).transpose(0, 2, 1)
-    _pin(moved, line_left, line_right)
-    resampled, valid = resample_uniform_stack(moved, n, line_left, line_right)
+    moved[:, 0, 0] = -1.0
+    moved[:, -1, 0] = 1.0
+    resampled, valid = resample_uniform_stack(moved, n)
     new_geometry = compute_geometry_stack(resampled)
     np.logical_and(new_geometry.valid, valid, out=new_geometry.valid)
     return resampled, new_geometry
 
 
-def step(points: np.ndarray, geometry: GeometryStack, dt: float, line_left: float,
-         line_right: float) -> tuple[np.ndarray, GeometryStack]:
+def step(points: np.ndarray, geometry: GeometryStack,
+         dt: float) -> tuple[np.ndarray, GeometryStack]:
     """One step of size dt of the curve of a (1, n+1, 2) stack: `_advance` with banded solves."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return _advance(points, geometry, np.array([dt]), line_left, line_right, _solve_banded)
+    return _advance(points, geometry, np.array([dt]), _solve_banded)
 
 
 def _initial_curve(config: FlowConfig,
                    initial: DiscreteCurve) -> tuple[DiscreteCurve, GeometryProfile]:
     """Start of a run: the initial curve at the config's resolution, checked, and its geometry."""
-    if (initial.line_left != config.line_left
-            or initial.line_right != config.line_right):
-        raise ValueError("initial curve and config disagree on the boundary lines")
+    if initial.line_left != -1.0 or initial.line_right != 1.0:
+        raise ValueError("runs step between the lines x = -1 and 1, not "
+                         f"{initial.line_left} and {initial.line_right}")
     curve = initial if initial.n == config.n else resample_uniform(initial, config.n)
     profile = compute_geometry(curve)
     omega0 = winding_number(profile)
@@ -269,14 +266,13 @@ def run_flow(config: FlowConfig, initial: DiscreteCurve,
     curve, profile = _initial_curve(config, initial)
     length_ref = profile.length
     wall_start = _time.perf_counter()
-    lines = (config.line_left, config.line_right)
     snaps = [_snapshot(0.0, curve, profile, length_ref)]
     points = curve.points[None]
     geometry = compute_geometry_stack(points)
     clock = 0.0
 
     def record() -> None:
-        curve = DiscreteCurve(points[0], *lines)
+        curve = DiscreteCurve(points[0])
         snaps.append(_snapshot(clock, curve, compute_geometry(curve), length_ref))
 
     steps = 0
@@ -295,7 +291,7 @@ def run_flow(config: FlowConfig, initial: DiscreteCurve,
         h2 = float(geometry.h[0]) ** 2
         dt = min(config.dt_safety * h2, config.t_end - clock)
         for _ in range(MAX_HALVINGS + 1):
-            new_points, new_geometry = step(points, geometry, dt, *lines)
+            new_points, new_geometry = step(points, geometry, dt)
             if new_geometry.valid[0]:
                 break
             rejections += 1
@@ -340,7 +336,6 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
     if len(extras) != len(starts):
         raise ValueError(f"{len(extras)} metadata entries for {len(starts)} curves")
     wall_start = _time.perf_counter()
-    lines = (config.line_left, config.line_right)
     # row r of points, geometry and clock belongs to member live[r]
     live = np.arange(len(starts))
     points = np.stack([curve.points for curve, _ in starts])
@@ -355,7 +350,7 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
 
     def record(row: int) -> None:
         b = live[row]
-        curve = DiscreteCurve(points[row], *lines)
+        curve = DiscreteCurve(points[row])
         snaps[b].append(_snapshot(float(clock[row]), curve, compute_geometry(curve),
                                   length_refs[b]))
 
@@ -386,7 +381,7 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
                 break
         h2 = geometry.h ** 2
         dt = np.minimum(config.dt_safety * h2, config.t_end - clock)
-        new_points, new_geometry = _advance(points, geometry, dt, *lines, _solve_mirror)
+        new_points, new_geometry = _advance(points, geometry, dt, _solve_mirror)
         # a rejected member retries at halved dt, MAX_HALVINGS times at most, as in run_flow
         retry = np.flatnonzero(~new_geometry.valid)
         for attempt in range(MAX_HALVINGS + 1):
@@ -398,7 +393,7 @@ def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
             if attempt == MAX_HALVINGS or not retry.size:
                 break
             retried_points, retried = _advance(points[retry], geometry.take(retry), dt[retry],
-                                               *lines, _solve_mirror)
+                                               _solve_mirror)
             ok = retried.valid
             new_points[retry[ok]] = retried_points[ok]
             new_geometry.put(retry[ok], retried.take(ok))

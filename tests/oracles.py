@@ -20,6 +20,9 @@ versions to their bits.
 `psw_sample_study_reference` is the Poincare sample study as it was written
 before it reused one sample buffer: each block is a fresh product, so the
 tests can hold the package's study to the same report.
+
+`mutant_speed` builds wrong flows, F = k_s4 + a k^2 k_ss + b k k_s^2 with
+(a, b) other than the paper's (1, -1/2), which the checks must tell apart.
 """
 from __future__ import annotations
 
@@ -140,16 +143,15 @@ def lagrange_weights(nodes: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ..
     return tuple(weights)
 
 
-def resample_uniform_reference(points: np.ndarray, m: int, line_left: float,
-                               line_right: float) -> np.ndarray:
+def resample_uniform_reference(points: np.ndarray, m: int) -> np.ndarray:
     """The m+1 resampled nodes of one curve, by the arithmetic the package's resampling keeps.
 
     Segment arcs are chords times 1 + psi^2/24 (psi the mean turn at a
     segment's ends, the end turn on end segments); the equidistributed arc
     targets are pulled back to the chord parameter by `np.interp`, the
     interpolation nodes found by `np.searchsorted`, and the cubic through
-    them evaluated with `lagrange_weights`.  Raises ValueError on
-    coincident neighbours.
+    them evaluated with `lagrange_weights`; the end nodes are kept.  Raises
+    ValueError on coincident neighbours.
     """
     pts = np.asarray(points, dtype=float)
     d = np.diff(pts, axis=0)
@@ -168,8 +170,6 @@ def resample_uniform_reference(points: np.ndarray, m: int, line_left: float,
     out = w0 * pts[b] + w1 * pts[b + 1] + w2 * pts[b + 2] + w3 * pts[b + 3]
     out[0] = pts[0]
     out[-1] = pts[-1]
-    out[0, 0] = line_left
-    out[-1, 0] = line_right
     return out
 
 
@@ -211,3 +211,12 @@ def psw_sample_study_reference(seed: int = 0, samples_per_mode: int = 1000) -> C
                  f"mode caps 1..{PSW_MAX_MODE}, grid {PSW_GRID}, seed {seed}); "
                  f"worst: {worst_label}; {worst.context}"),
     )
+
+
+def mutant_speed(a: float, b: float):
+    """The normal speed F = k_s4 + a k^2 k_ss + b k k_s^2; (1, -0.5) gives the paper's bits."""
+    def speed(profile):
+        k, k_s = profile.k, profile.k_s
+        return profile.k_s4 + a * k * k * profile.k_ss + b * k * k_s * k_s
+
+    return speed

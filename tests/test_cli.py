@@ -34,6 +34,13 @@ from hexaflow.cli import _CONFIG_KEYS, CSV_COLUMNS, main, sweep_cells
 
 MINIMAL = "n: 64\nt_end: 0.05\ninit: cosine-graph\n"
 
+# each diagnostics.csv column in powers of length: time is length**6,
+# curvature length**-1, each arc-length derivative one more power down
+LENGTH_POWERS = {"time": 6, "omega": 0, "length": 1, "energy": -3, "knorm2": -1,
+                 "ksnorm2": -3, "kssnorm2": -5, "k_inf": -1, "ks_inf": -2,
+                 "delta_margin": 0, "dissipation": -9, "bc_ks_left": -2,
+                 "bc_ks_right": -2, "bc_ksss_left": -4, "bc_ksss_right": -4}
+
 
 class TestParseConfig:
     def test_minimal_document_fills_defaults(self):
@@ -106,11 +113,24 @@ class TestParseConfig:
         ({"line_left": -np.inf}, "line_left"),
         ({"line_right": np.nan}, "line_right"),
         ({"line_left": -1e308, "line_right": 1e308}, "line_right - line_left"),
-    ], ids=["infinite", "nan", "gap-overflows"])
+        ({"line_left": 1.0, "line_right": -1.0}, "must exceed"),
+    ], ids=["infinite", "nan", "gap-overflows", "unordered"])
     def test_initial_lines_must_be_finite_with_a_finite_gap(self, lines, key):
         for kind in ("flat", "cosine-graph"):
             with pytest.raises(ValueError, match=re.escape(key)):
                 InitialSpec(kind=kind, **lines)
+
+    def test_document_maps_to_the_reference_frame(self):
+        # half = 0.25: times scale by half**6, curvatures by 1 / half; the
+        # echo keeps the document's values
+        config, spec, echo = parse_config(MINIMAL + "line_left: 1.5\nline_right: 2.0\n"
+                                          "stop_knorm: 0.5\nA: 0.0125\n")
+        assert config.t_end == 0.05 / 0.25 ** 6
+        assert config.stop_knorm == 0.125
+        assert (echo["t_end"], echo["stop_knorm"]) == (0.05, 0.5)
+        curve = generate_initial(spec)
+        assert (curve.line_left, curve.line_right) == (-1.0, 1.0)
+        assert np.abs(curve.points[:, 1]).max() == pytest.approx(0.05, rel=1e-6)
 
 
 class TestGenerateInitial:
@@ -465,8 +485,8 @@ class TestMainEntry:
 
         real = flow._advance
 
-        def reject_large(points, geometry, dt, *lines):
-            new_points, new_geometry = real(points, geometry, dt, *lines)
+        def reject_large(points, geometry, dt, solve):
+            new_points, new_geometry = real(points, geometry, dt, solve)
             new_geometry.valid[np.abs(points[:, :, 1]).max(axis=1) > 0.065] = False
             return new_points, new_geometry
 
@@ -547,13 +567,9 @@ class TestMainEntry:
         ("line_left: -1e308\nline_right: 0\n", "line_right - line_left"),
         ("line_left: -1e200\nline_right: 1e200\n", "line_right - line_left"),
         ("line_left: -1e-200\nline_right: 1e-200\n", "line_right - line_left"),
-        ("line_left: 999999999998\nline_right: 1e12\n", "line_left must lie within"),
-        ("line_left: 1\nline_right: 1.000000000001\n", "line_left must lie within"),
-    ], ids=["left-far-out", "both-far-out", "gap-too-small", "far-offset", "offset-tiny-gap"])
+    ], ids=["left-far-out", "both-far-out", "gap-too-small"])
     def test_lines_out_of_scale_exit_2(self, tmp_path, capsys, lines, key):
-        # finite lines with a finite gap whose arithmetic would overflow or
-        # underflow, or so far from x = 0 against the node spacing that
-        # rounding the nodes breaks the spacing check
+        # finite lines with a finite gap whose arithmetic would overflow or underflow
         cfg = self._write_config(tmp_path, lines + "A: 0\n")
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -562,6 +578,75 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("left, right", [(999999999998.0, 1e12), (1.0, 1.000000000001)],
+                             ids=["far-offset", "offset-tiny-gap"])
+    def test_offset_lines_give_the_reference_results(self, tmp_path, left, right):
+        # lines far from x = 0, or 1e-12 apart there, map to x = -1 and 1:
+        # the run is the origin's, its outputs mapped out by powers of half
+        half, mid = 0.5 * (right - left), 0.5 * (left + right)
+        outputs = []
+        for lines, scale in (("", 1.0), (f"line_left: {left!r}\nline_right: {right!r}\n", half)):
+            cfg = tmp_path / "config.yaml"
+            cfg.write_text(f"n: 64\ninit: cosine-graph\nsnapshot_every: 10\nA: {0.05 * scale!r}\n"
+                           f"t_end: {0.002 * scale ** 6!r}\n{lines}")
+            out = tmp_path / f"out{scale}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            rows = np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=1)
+            powers = np.array([LENGTH_POWERS[column] for column in CSV_COLUMNS])
+            outputs.append((rows * scale ** -powers,
+                            json.loads((out / "snapshots.json").read_text())))
+        (origin_rows, origin), (rows, mapped) = outputs
+        np.testing.assert_allclose(rows, origin_rows, rtol=1e-9,
+                                   atol=1e-9 * np.abs(origin_rows).max())
+        for key in ("steps", "termination", "rejections"):
+            assert mapped["meta"][key] == origin["meta"][key], key
+        assert len(mapped["frames"]) == len(origin["frames"]) == len(origin_rows) == 4
+        # writing x = mid + half * xi rounds xi by up to half an ulp of mid, over half
+        bound = 1e-12 + np.spacing(abs(mid)) / half
+        for a, b in zip(mapped["frames"], origin["frames"]):
+            assert a["t"] / half ** 6 == pytest.approx(b["t"], rel=1e-12)
+            back = (np.array(a["points"]) - [mid, 0.0]) / half
+            assert np.abs(back - np.array(b["points"])).max() <= bound
+
+    def test_sweep_names_each_cell_outside_the_small_energy_margin(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text("n: [32]\nm: [1, 2]\nA: [0.05, 0.1]\nt_end: 0.002\ninit: cosine-graph\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one line per cell, no warning
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "cells"),
+                         "--quiet"]) == 0
+        expected = []
+        for a, m in ((0.05, 1), (0.05, 2), (0.1, 1), (0.1, 2)):  # grid order
+            spec = InitialSpec(kind="cosine-graph", amplitude=a, mode=m, n=32)
+            _, margin, _ = generate_initial(spec, with_margin=True)
+            if margin <= 0.0:
+                expected.append(f"cell A{a}_m{m}_n32: small-energy margin is not positive "
+                                f"(delta = {margin:.6g}) at n = 32, A = {a}, m = {m}")
+        assert len(expected) == 3
+        assert capsys.readouterr().err.splitlines() == expected
+
+    def test_verify_is_scale_free(self, tmp_path):
+        # one shape between lines gap apart (A = 0.025 gap, t_end = 0.02 (gap/2)**6)
+        # is stepped and checked in the reference frame: verify.json is that of
+        # the document between x = -1 and 1 that it maps to, byte for byte
+        # (at gap 0.2, A maps to 0.05 plus an ulp)
+        def verify(half: float, amplitude: float, t_end: float) -> tuple[int, bytes]:
+            cfg = tmp_path / "config.yaml"
+            cfg.write_text(f"n: 64\ninit: cosine-graph\nsnapshot_every: 10\nA: {amplitude!r}\n"
+                           f"t_end: {t_end!r}\nline_left: {-half!r}\nline_right: {half!r}\n")
+            out = tmp_path / f"half{half}"
+            code = main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"])
+            return code, (out / "verify.json").read_bytes()
+
+        for gap in (0.2, 0.02, 2e-5):
+            half = 0.5 * gap
+            amplitude, t_end = 0.025 * gap, 0.02 * half ** 6
+            reference = verify(1.0, amplitude / half, t_end / half ** 6)
+            assert reference[0] == 0
+            assert verify(half, amplitude, t_end) == reference, gap
 
     def test_run_measures_the_initial_curve_once(self, tmp_path, capsys, monkeypatch):
         # the margin line reuses generate_initial's measurement and still

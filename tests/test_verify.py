@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hexaflow import (
     CheckReport,
     DiscreteCurve,
+    FlowConfig,
     InitialSpec,
     check_boundary_hierarchy,
     check_dissipation,
@@ -25,10 +26,11 @@ from hexaflow import (
     integrate,
     normal_speed,
     psw_sample_study,
+    run_flow,
 )
 from hexaflow.verify import PSW_GRID, _centered_dt
 
-from oracles import COSINE_A005_M1, psw_sample_study_reference
+from oracles import COSINE_A005_M1, mutant_speed, psw_sample_study_reference
 
 
 class TestCheckReport:
@@ -250,3 +252,25 @@ class TestSampleStudy:
     def test_rejects_fewer_than_one_sample(self, samples_per_mode):
         with pytest.raises(ValueError, match="samples_per_mode"):
             psw_sample_study(seed=0, samples_per_mode=samples_per_mode)
+
+
+@pytest.mark.parametrize("a, b, passes", [
+    (1.0, -0.5, True),
+    (0.0, 0.0, False),
+    (2.0, -0.5, False),
+], ids=["paper", "linear", "doubled-k2-kss"])
+def test_identities_tell_the_paper_flow_from_wrong_ones(monkeypatch, a, b, passes):
+    """At the verify workload's config, runs of two wrong speeds fail all three identities.
+
+    The stepper moves by the mutant speed; the checks keep the paper's.
+    Residual / tolerance for dissipation, length and k^2 read 0.53 / 0.004 /
+    0.07 for the paper's flow, 2.09 / 1.58 / 1.64 for (0, 0) and 1.34 / 1.35 /
+    1.32 for (2, -1/2).  The flipped sign (1, +1/2) passes at 0.97 / 0.46 /
+    0.52: the evidence cannot tell that one apart here.
+    """
+    monkeypatch.setattr("hexaflow.flow.normal_speed", mutant_speed(a, b))
+    curve = generate_initial(InitialSpec(kind="cosine-graph", amplitude=0.05, n=256))
+    trajectory = run_flow(FlowConfig(n=256, t_end=0.02, snapshot_every=100), curve)
+    reports = [check(trajectory)
+               for check in (check_dissipation, check_length_identity, check_k2_identity)]
+    assert [report.passed for report in reports] == [passes] * 3, reports
