@@ -5,9 +5,10 @@ runs every verification check, `psw` samples the Poincare-type inequalities
 standalone, and `sweep` runs a grid of configurations.  `run`, `verify` and
 `sweep` share one path: a plan of runs, each checked before any stepping
 (`run` and `verify` plan one run written to --out, `sweep` one per grid cell,
-each in its own subdirectory), all initial curves, then one `run_flow` per
-flow configuration that only one run has and one `run_ensemble` for runs that
-share one (in practice, sweep cells with the same n), and `emit` for each.
+each in its own subdirectory), all initial curves, then the flow's run loop
+once per flow configuration, and `emit` for each run: `run_flow` (banded
+solve) for a configuration only one run has, as every `run` and `verify`,
+`run_ensemble` for runs that share one (in practice, sweep cells of equal n).
 
 Configuration documents are YAML key-value files.  The keys, their
 defaults and integer or float types are the fields of FlowConfig and
@@ -69,6 +70,7 @@ from .verify import (
     check_length_identity,
     check_psw,
     psw_sample_study,
+    shared_profiles,
 )
 
 SCHEMA_VERSION = 1
@@ -414,15 +416,17 @@ def _print_reports(reports: list[CheckReport]) -> None:
 
 
 def _verify_reports(trajectory: Trajectory) -> list[CheckReport]:
-    return [
-        check_dissipation(trajectory),
-        check_length_identity(trajectory),
-        check_k2_identity(trajectory),
-        check_kss_inequality(trajectory),
-        check_boundary_hierarchy(compute_geometry(trajectory.snapshots[0].curve)),
-        check_boundary_hierarchy(compute_geometry(trajectory.snapshots[-1].curve)),
-        psw_sample_study(),
-    ]
+    # one profile per snapshot for all six reports, gone before the sample study
+    with shared_profiles(trajectory) as profiles:
+        reports = [
+            check_dissipation(trajectory),
+            check_length_identity(trajectory),
+            check_k2_identity(trajectory),
+            check_kss_inequality(trajectory),
+            check_boundary_hierarchy(profiles[0]),
+            check_boundary_hierarchy(profiles[-1]),
+        ]
+    return [*reports, psw_sample_study()]
 
 
 def _output_dir(path: str) -> Path:

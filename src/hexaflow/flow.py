@@ -7,25 +7,22 @@ leading term implicitly through the sixth arc-length difference of position
 (an explicit method would need dt of order h^6), solves one septa-diagonal
 system per coordinate, re-pins the endpoints and resamples to uniform spacing.
 
-One step, two loops.  `_advance` steps a (B, n+1, 2) stack of curves: the
+One step, one loop.  `_advance` steps a (B, n+1, 2) stack of curves: the
 right-hand side, the re-pinning and the geometry and resampling kernels of
 `curve`, each written once over the batch axis, with a validity mask where a
-curve is rejected; only the solve is passed in.  `run_flow` steps one curve
-as a stack of one through `step`, which solves both systems with scipy's
-`solve_banded`.  `run_ensemble` steps the curves that share a configuration
-in lockstep, one `_advance` call on the whole stack of running curves per
-step, and solves every member's mirror-folded systems, circulant on the
-2n-periodic mirror extension, by one real FFT pair; only rejected members
-are stepped again, at halved dt, and the stack is compacted only when
-members finish.  Each curve of an ensemble keeps its own step size, clock,
-rejections, snapshots and termination.
+curve is rejected; only the solve is passed in.  `_run` steps the curves
+that share a configuration in lockstep, each with its own step size, clock,
+rejections, snapshots and termination.  `run_flow` is that loop on a stack
+of one, stepped by `step`; `run_ensemble` steps by `_advance` with the FFT
+solve.
 
-The loops stay two because numpy's array powers and Python's float powers
-differ in the last bit: of 200,000 random values of h within 1% of 2/256,
-169 give a different h**2 and 10,145 a different h**6 (numpy 2.4).
-`run_flow` forms dt = dt_safety * h**2 and the banded solve's lambda =
-dt / h**6 in Python floats, `run_ensemble` both in arrays, and a merged loop
-would change the bits of one of them.
+The solves still differ.  `step` solves both systems with scipy's
+`solve_banded` and serves runs alone, every `run` and `verify`, whose
+recorded outputs it keeps bit for bit.  The FFT solve, circulant on the
+2n-periodic mirror extension of every member's folded systems, places nodes
+a rounding error away.  Moving runs alone to it waits on a benchmark that
+does not read verify's speed as failures and on a spectral engine with
+step-size control (ROADMAP items 1 and 4).
 
 scipy serves only the banded solve: `_solve_banded` imports `solve_banded`
 when it first runs, so importing this module, and every ensemble run, never
@@ -140,7 +137,7 @@ def _solve_banded(rhs: np.ndarray, dt: np.ndarray, h: np.ndarray) -> np.ndarray:
     (odd fold, pinned ends: its end values must be zero), those of row 1 its
     y right-hand side (even fold); the solutions replace them and come back
     as a (B, 2, n+1) view.  lam_b = dt_b / h_b^6 is formed in Python floats,
-    as `run_flow` forms dt.
+    whose h^6 differs from numpy's array power in the last bit.
     """
     from scipy.linalg import solve_banded  # single runs only; cached after the first step
 
@@ -233,187 +230,121 @@ def _snapshot(time: float, curve: DiscreteCurve, profile: GeometryProfile,
     return Snapshot(time, curve, rec)
 
 
-def _trajectory(snaps: list[Snapshot], config: FlowConfig, termination: str, steps: int,
-                final_time: float, rejections: int, wall_time: float,
-                extra_metadata: dict | None) -> Trajectory:
-    metadata = {
-        "config": asdict(config),
-        "termination": termination,
-        "steps": steps,
-        "final_time": final_time,
-        "rejections": rejections,
-        "wall_time": wall_time,
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    return Trajectory(tuple(snaps), metadata)
-
-
 def run_flow(config: FlowConfig, initial: DiscreteCurve,
              extra_metadata: dict | None = None) -> Trajectory:
-    """Run the flow from an initial curve until a termination condition.
-
-    Records a snapshot with a full diagnostics record at the start, every
-    snapshot_every-th step and at the final step.  Terminates on the time
-    horizon, the step cap, or the curvature dropping below stop_knorm
-    (0 disables that test).  Each step is one `step` call with dt =
-    dt_safety * h^2, capped so the run cannot overshoot t_end: the implicit
-    sixth-order part is unconditionally stable, and the explicit remainder
-    behaves no worse than second-order transport.  Rejected steps retry with
-    halved dt; more than 40 halvings abort the run with the partial
-    trajectory and reason "dt_underflow".
-    """
-    curve, profile = _initial_curve(config, initial)
-    length_ref = profile.length
-    wall_start = _time.perf_counter()
-    snaps = [_snapshot(0.0, curve, profile, length_ref)]
-    points = curve.points[None]
-    geometry = compute_geometry_stack(points)
-    clock = 0.0
-
-    def record() -> None:
-        curve = DiscreteCurve(points[0])
-        snaps.append(_snapshot(clock, curve, compute_geometry(curve), length_ref))
-
-    steps = 0
-    rejections = 0
-    t_slack = 1e-12 * config.t_end
-    while True:
-        if config.stop_knorm > 0.0 and float(np.abs(geometry.k).max()) < config.stop_knorm:
-            termination = "stop_knorm"
-            break
-        if clock >= config.t_end - t_slack:
-            termination = "t_end"
-            break
-        if steps >= config.max_steps:
-            termination = "max_steps"
-            break
-        h2 = float(geometry.h[0]) ** 2
-        dt = min(config.dt_safety * h2, config.t_end - clock)
-        for _ in range(MAX_HALVINGS + 1):
-            new_points, new_geometry = step(points, geometry, dt)
-            if new_geometry.valid[0]:
-                break
-            rejections += 1
-            dt *= 0.5
-            if dt < DT_FLOOR_FACTOR * h2:
-                break
-        if not new_geometry.valid[0]:
-            termination = "dt_underflow"
-            break
-        points, geometry = new_points, new_geometry
-        clock += dt
-        steps += 1
-        if steps % config.snapshot_every == 0:
-            record()
-    if snaps[-1].time < clock:
-        record()
-
-    return _trajectory(snaps, config, termination, steps, clock, rejections,
-                       _time.perf_counter() - wall_start, extra_metadata)
+    """Run the flow from one initial curve: `_run` on a stack of one, stepped by `step`."""
+    # `step` and `_advance` are looked up at each call, so a replaced module
+    # attribute (a test double, a tracer) sees every step
+    return _run(config, [initial], [extra_metadata],
+                lambda points, geometry, dt: step(points, geometry, dt[0]))[0]
 
 
 def run_ensemble(config: FlowConfig, initials: Sequence[DiscreteCurve],
                  extra_metadata: Sequence[dict | None] | None = None) -> list[Trajectory]:
-    """Run the flow from several initial curves in lockstep; one trajectory each.
+    """Run the flow from several initial curves: `_run` stepped by `_advance` with the FFT solve.
 
-    Every member keeps the rules of `run_flow`: its own dt = dt_safety * h^2,
-    clock, snapshot cadence and termination, and a rejected step retries
-    with halved dt for that member alone, down to the same "dt_underflow"
-    abort that keeps its partial trajectory.  Each step is one `_advance`
-    call with the FFT solve on the stack of running members; only rejected
-    members are stepped again, and the stack is compacted when members
-    finish.  The FFT solve differs from the banded one only by rounding; no
-    member's result depends on its batch-mates.  Snapshot records come from
-    `compute_geometry` and `make_record`, as in `run_flow`.  `extra_metadata`
-    holds one dict (or None) per member; `wall_time` is that of the whole
-    ensemble.
+    No member's result depends on its batch-mates.  `extra_metadata` holds
+    one dict (or None) per member; `wall_time` is that of the whole ensemble.
+    """
+    if not initials:
+        raise ValueError("an ensemble needs at least one initial curve")
+    extras = list(extra_metadata) if extra_metadata is not None else [None] * len(initials)
+    if len(extras) != len(initials):
+        raise ValueError(f"{len(extras)} metadata entries for {len(initials)} curves")
+    return _run(config, initials, extras,
+                lambda points, geometry, dt: _advance(points, geometry, np.array(dt),
+                                                      _solve_mirror))
+
+
+def _run(config: FlowConfig, initials: Sequence[DiscreteCurve],
+         extras: Sequence[dict | None], advance) -> list[Trajectory]:
+    """Run the curves of `initials` in lockstep, one `advance` call per step; one trajectory each.
+
+    Each member records a snapshot with a full diagnostics record at the
+    start, every snapshot_every-th step and at its end: the time horizon,
+    the step cap, or sup|k| below stop_knorm (0 disables that test).  Its dt
+    = dt_safety * h^2 is capped at t_end: the implicit sixth-order part is
+    unconditionally stable, and the explicit remainder behaves no worse than
+    second-order transport.  A rejected member alone retries at halved dt;
+    more than 40 halvings end it as "dt_underflow", with its partial
+    trajectory.  The stack is compacted only when members end.
     """
     starts = [_initial_curve(config, initial) for initial in initials]
-    if not starts:
-        raise ValueError("an ensemble needs at least one initial curve")
-    extras = list(extra_metadata) if extra_metadata is not None else [None] * len(starts)
-    if len(extras) != len(starts):
-        raise ValueError(f"{len(extras)} metadata entries for {len(starts)} curves")
     wall_start = _time.perf_counter()
-    # row r of points, geometry and clock belongs to member live[r]
+    # Row r of points, geometry, clock and dt belongs to member live[r].  Clocks
+    # and step sizes are Python floats: on a stack of a few curves they cost
+    # less than numpy calls, and numpy's square of h can differ in the last bit.
     live = np.arange(len(starts))
     points = np.stack([curve.points for curve, _ in starts])
     geometry = compute_geometry_stack(points)
-    clock = np.zeros(len(starts))
-    final_times = np.zeros(len(starts))
-    rejections = np.zeros(len(starts), dtype=int)
+    clock = [0.0] * len(starts)
+    rejections = [0] * len(starts)
     length_refs = [profile.length for _, profile in starts]
     snaps = [[_snapshot(0.0, curve, profile, ref)]
              for (curve, profile), ref in zip(starts, length_refs)]
-    endings: list[tuple[str, int] | None] = [None] * len(starts)
+    endings: list[tuple[str, int, float] | None] = [None] * len(starts)
 
     def record(row: int) -> None:
         b = live[row]
         curve = DiscreteCurve(points[row])
-        snaps[b].append(_snapshot(float(clock[row]), curve, compute_geometry(curve),
-                                  length_refs[b]))
+        snaps[b].append(_snapshot(clock[row], curve, compute_geometry(curve), length_refs[b]))
 
     def finish(row: int, termination: str) -> None:
         b = live[row]
-        endings[b] = (termination, steps)
-        final_times[b] = clock[row]
+        endings[b] = (termination, steps, clock[row])
         if snaps[b][-1].time < clock[row]:
             record(row)
 
     steps = 0
-    t_slack = 1e-12 * config.t_end
+    t_limit = config.t_end - 1e-12 * config.t_end
     while live.size:
-        reached = clock >= config.t_end - t_slack
-        flat = (np.abs(geometry.k).max(axis=1) < config.stop_knorm if config.stop_knorm > 0.0
-                else np.zeros_like(reached))
-        ended = flat | reached
         capped = steps >= config.max_steps
-        if capped or ended.any():
-            for row in np.flatnonzero(ended | capped):
-                finish(row, "stop_knorm" if flat[row] else "t_end" if reached[row] else "max_steps")
+        flat = ((np.abs(geometry.k).max(axis=1) < config.stop_knorm).tolist()
+                if config.stop_knorm > 0.0 else [False] * live.size)
+        if capped or max(clock) >= t_limit or any(flat):
+            ended = [stop or time >= t_limit for stop, time in zip(flat, clock)]
+            for row, end in enumerate(ended):
+                if end or capped:
+                    finish(row, "stop_knorm" if flat[row] else "t_end" if end else "max_steps")
             if capped:
                 break
-            keep = ~ended
-            live, points, clock, geometry = (live[keep], points[keep], clock[keep],
-                                             geometry.take(keep))
-            if not live.size:
-                break
-        h2 = geometry.h ** 2
-        dt = np.minimum(config.dt_safety * h2, config.t_end - clock)
-        new_points, new_geometry = _advance(points, geometry, dt, _solve_mirror)
-        # a rejected member retries at halved dt, MAX_HALVINGS times at most, as in run_flow
-        retry = np.flatnonzero(~new_geometry.valid)
-        for attempt in range(MAX_HALVINGS + 1):
-            if not retry.size:
-                break
-            rejections[live[retry]] += 1
-            dt[retry] *= 0.5
-            retry = retry[dt[retry] >= DT_FLOOR_FACTOR * h2[retry]]
-            if attempt == MAX_HALVINGS or not retry.size:
-                break
-            retried_points, retried = _advance(points[retry], geometry.take(retry), dt[retry],
-                                               _solve_mirror)
-            ok = retried.valid
-            new_points[retry[ok]] = retried_points[ok]
-            new_geometry.put(retry[ok], retried.take(ok))
-            retry = retry[~ok]
-        accepted = new_geometry.valid
-        if accepted.all():
-            points, geometry = new_points, new_geometry
-            clock += dt
-        else:
-            for row in np.flatnonzero(~accepted):
+            keep = [row for row, end in enumerate(ended) if not end]
+            live, points, geometry = live[keep], points[keep], geometry.take(keep)
+            clock = [clock[row] for row in keep]
+            continue
+        spacing = geometry.h.tolist()
+        dt = [min(config.dt_safety * h ** 2, config.t_end - time)
+              for h, time in zip(spacing, clock)]
+        new_points, new_geometry = advance(points, geometry, dt)
+        valid = new_geometry.valid.tolist()
+        if not all(valid):
+            # a rejected member retries at halved dt, MAX_HALVINGS times at most
+            retry = [row for row, ok in enumerate(valid) if not ok]
+            for attempt in range(MAX_HALVINGS + 1):
+                for row in retry:
+                    rejections[live[row]] += 1
+                    dt[row] *= 0.5
+                retry = [row for row in retry if dt[row] >= DT_FLOOR_FACTOR * spacing[row] ** 2]
+                if attempt == MAX_HALVINGS or not retry:
+                    break
+                new_points[retry], retried = advance(points[retry], geometry.take(retry),
+                                                     [dt[row] for row in retry])
+                new_geometry.put(retry, retried)
+                retry = [row for row, ok in zip(retry, retried.valid.tolist()) if not ok]
+            for row in np.flatnonzero(~new_geometry.valid):
                 finish(row, "dt_underflow")
-            live, points, clock, geometry = (live[accepted], new_points[accepted],
-                                             clock[accepted] + dt[accepted],
-                                             new_geometry.take(accepted))
+            keep = np.flatnonzero(new_geometry.valid)
+            live, new_points, new_geometry = live[keep], new_points[keep], new_geometry.take(keep)
+            clock, dt = [clock[row] for row in keep], [dt[row] for row in keep]
+        points, geometry = new_points, new_geometry
+        clock = [time + step_size for time, step_size in zip(clock, dt)]
         steps += 1
         if steps % config.snapshot_every == 0:
             for row in range(live.size):
                 record(row)
 
     wall_time = _time.perf_counter() - wall_start
-    return [_trajectory(snaps[b], config, termination, member_steps, float(final_times[b]),
-                        int(rejections[b]), wall_time, extras[b])
-            for b, (termination, member_steps) in enumerate(endings)]
+    return [Trajectory(tuple(snaps[b]), {
+        "config": asdict(config), "termination": termination, "steps": member_steps,
+        "final_time": final_time, "rejections": rejections[b], "wall_time": wall_time,
+        **(extras[b] or {})}) for b, (termination, member_steps, final_time) in enumerate(endings)]

@@ -11,6 +11,7 @@ the fully decayed tail of a run is not scored on rounding noise.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +65,34 @@ def _centered_dt(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (dt1 * dt1 * fwd + dt2 * dt2 * bwd) / (dt1 * dt2 * (dt1 + dt2))
 
 
+# (trajectory, profiles) of every enclosing `shared_profiles` block
+_shared: list[tuple[Trajectory, list[GeometryProfile]]] = []
+
+
 def _snapshot_profiles(trajectory: Trajectory):
     snaps = trajectory.snapshots
     if len(snaps) < MIN_SNAPSHOTS:
         raise ValueError(f"need at least {MIN_SNAPSHOTS} snapshots, got {len(snaps)}")
     times = np.array([snap.time for snap in snaps])
-    profiles = [compute_geometry(snap.curve) for snap in snaps]
+    # outside a shared block, a fresh list each time
+    profiles = next((shared for held, shared in _shared if held is trajectory), [])
+    if not profiles:
+        profiles.extend(compute_geometry(snap.curve) for snap in snaps)
     return times, profiles
+
+
+@contextmanager
+def shared_profiles(trajectory: Trajectory):
+    """Share one geometry profile per snapshot among the checks of `trajectory` in the block.
+
+    The first check that needs them builds them into the yielded list, which
+    the block empties when it ends.
+    """
+    _shared.append((trajectory, []))
+    try:
+        yield _shared[-1][1]
+    finally:
+        _shared.pop()[1].clear()
 
 
 def _identity_tolerance(times: np.ndarray, profiles: list[GeometryProfile]) -> float:

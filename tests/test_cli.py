@@ -666,6 +666,32 @@ class TestMainEntry:
         assert out.index("small-energy margin") < out.index("run finished")
         assert measured == [64]
 
+    def test_verify_measures_each_snapshot_once(self, tmp_path, monkeypatch):
+        # the four identity checks and both boundary reports share one profile
+        # per snapshot, and let them go before the sample study runs
+        measured = {"cli": 0, "verify": 0}
+        for module in measured:
+            real = getattr(hexaflow, module).compute_geometry
+
+            def counting(curve, module=module, real=real):
+                measured[module] += 1
+                return real(curve)
+
+            monkeypatch.setattr(f"hexaflow.{module}.compute_geometry", counting)
+        real_study = hexaflow.cli.psw_sample_study
+
+        def study():
+            assert not hexaflow.verify._shared
+            return real_study(samples_per_mode=1)
+
+        monkeypatch.setattr("hexaflow.cli.psw_sample_study", study)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", self._write_config(tmp_path),
+                     "--out", str(out), "--quiet"]) == 0
+        frames = json.loads((out / "snapshots.json").read_text())["frames"]
+        assert len(frames) >= 3
+        assert measured == {"cli": 1, "verify": len(frames)}
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("n: 8\nt_end: 1.0\ninit: flat\n")

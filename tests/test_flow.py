@@ -180,7 +180,8 @@ class TestStep:
 
 
 class TestSelectDt:
-    """`run_flow`'s step size: dt_safety * h^2 in Python floats, capped by the horizon."""
+    """The run loop's step size: dt_safety * h^2 with h^2 Python's float square, capped by
+    the horizon, for a run alone and for an ensemble member alike."""
 
     def test_spacing_square_rule(self, cosine_curve, cosine_profile):
         config = FlowConfig(n=128, t_end=10.0, dt_safety=0.1, max_steps=1)
@@ -195,6 +196,26 @@ class TestSelectDt:
         assert traj.metadata["steps"] == 2
         assert traj.times[1] == nominal
         assert traj.times[2] - traj.times[1] == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("runner", ["run_flow", "run_ensemble"])
+    def test_spacing_square_is_the_python_float_square(self, runner):
+        # at this amplitude numpy's array square of the initial spacing
+        # differs from Python's float square in the last bit
+        curve = _curve(0.05521, 1)
+        h = compute_geometry(curve).h
+        assert (np.array([h]) ** 2)[0] != float(h) ** 2
+
+        def run(config):
+            if runner == "run_flow":
+                return run_flow(config, curve)
+            return run_ensemble(config, [curve, _curve(0.02, 1)])[0]
+
+        nominal = 0.1 * float(h) ** 2
+        assert run(FlowConfig(n=32, t_end=1.0, max_steps=1)).metadata["final_time"] == nominal
+        t_end = nominal + 1e-9
+        capped = run(FlowConfig(n=32, t_end=t_end, snapshot_every=1))
+        assert capped.metadata["steps"] == 2
+        assert capped.times.tolist() == [0.0, nominal, nominal + (t_end - nominal)]
 
 
 class TestFlowConfigValidation:
@@ -577,38 +598,47 @@ class TestRunEnsemble:
             run_ensemble(FlowConfig(n=512, t_end=1e-3), [u_turn_curve])
 
 
-def _linearised_errors(tmp_path, half: float) -> list[float]:
+def _linearised_errors(tmp_path, half: float, m: int, t_end: float,
+                       resolutions: tuple[int, ...]) -> list[float]:
     """Largest node error of y against the exact linearised solution, over its amplitude.
 
-    The document is A = 1e-3 half, m = 1 between the lines -half and half
-    until t_end = 0.05 half**6, at n = 32, 64 and 128; the error is read
-    from the final frame of snapshots.json, in the document's units.
+    The document is A = 1e-3 half, mode m between the lines -half and half
+    until t_end half**6, at each n of `resolutions`; the error is read from
+    the final frame of snapshots.json, in the document's units.
     """
     errors = []
-    for n in (32, 64, 128):
+    for n in resolutions:
         config = tmp_path / "config.yaml"
-        config.write_text(f"n: {n}\ninit: cosine-graph\nA: {1e-3 * half!r}\n"
-                          f"t_end: {0.05 * half ** 6!r}\nline_left: {-half!r}\n"
+        config.write_text(f"n: {n}\ninit: cosine-graph\nA: {1e-3 * half!r}\nm: {m}\n"
+                          f"t_end: {t_end * half ** 6!r}\nline_left: {-half!r}\n"
                           f"line_right: {half!r}\nsnapshot_every: 1000000\n")
-        out = tmp_path / f"n{n}-half{half}"
+        out = tmp_path / f"n{n}-m{m}-half{half}"
         assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         final = json.loads((out / "snapshots.json").read_text())["frames"][-1]
         x, y = np.array(final["points"]).T
-        amplitude = 1e-3 * half * math.exp(-(0.5 * math.pi) ** 6 * final["t"] / half ** 6)
-        exact = amplitude * np.cos(0.5 * math.pi * (x / half + 1.0))
+        wavenumber = 0.5 * m * math.pi
+        amplitude = 1e-3 * half * math.exp(-wavenumber ** 6 * final["t"] / half ** 6)
+        exact = amplitude * np.cos(wavenumber * (x / half + 1.0))
         errors.append(float(np.abs(y - exact).max()) / amplitude)
     return errors
 
 
 def test_second_order_against_the_exact_linearised_solution(tmp_path):
     """At small A the flow linearises to y_t = -y_xxxxxx with the same contact
-    conditions, solved exactly by y = A cos(pi (x + 1) / 2) exp(-(pi / 2)^6 t).
+    conditions, solved exactly by y = A cos(m pi (x + 1) / 2) exp(-(m pi / 2)^6 t).
 
-    The relative errors read 4.00e-3, 1.005e-3 and 2.53e-4 at n = 32, 64, 128.
-    The same document between lines 0.2 apart, in time scaled by 0.1**6, runs
-    in the same reference frame and must give the same errors.
+    For m = 1 to t = 0.05 the relative errors read 4.00e-3, 1.005e-3, 2.53e-4
+    and 6.47e-5 at n = 32, 64, 128 and 256; for m = 2 to t = 0.05 / 2**6 they
+    read 3.55e-2, 9.17e-3 and 2.32e-3 at n = 64, 128 and 256 (n = 32 reads
+    0.126, a ratio of 3.55: not yet asymptotic).  The same m = 1 document
+    between lines 0.2 apart, in time scaled by 0.1**6, runs in the same
+    reference frame and must give the same errors; it stops at n = 128,
+    since n = 256 takes 8,192 steps.
     """
-    errors = _linearised_errors(tmp_path, 1.0)
-    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
-    assert all(3.6 <= ratio <= 4.4 for ratio in ratios), (errors, ratios)
-    np.testing.assert_allclose(_linearised_errors(tmp_path, 0.1), errors, rtol=0.0, atol=1e-9)
+    mode1 = _linearised_errors(tmp_path, 1.0, 1, 0.05, (32, 64, 128, 256))
+    mode2 = _linearised_errors(tmp_path, 1.0, 2, 0.05 / 2 ** 6, (64, 128, 256))
+    for errors in (mode1, mode2):
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.6 <= ratio <= 4.4 for ratio in ratios), (errors, ratios)
+    np.testing.assert_allclose(_linearised_errors(tmp_path, 0.1, 1, 0.05, (32, 64, 128)),
+                               mode1[:3], rtol=0.0, atol=1e-9)

@@ -28,7 +28,8 @@ from hexaflow import (
     psw_sample_study,
     run_flow,
 )
-from hexaflow.verify import PSW_GRID, _centered_dt
+import hexaflow.verify
+from hexaflow.verify import PSW_GRID, _centered_dt, shared_profiles
 
 from oracles import COSINE_A005_M1, mutant_speed, psw_sample_study_reference
 
@@ -94,6 +95,31 @@ class TestIdentityChecks:
 
         with pytest.raises(ValueError):
             checker(Trajectory(flat_run.snapshots[:2], {}))
+
+
+def test_checks_in_a_shared_block_build_one_profile_per_snapshot(short_run, monkeypatch):
+    checks = (check_dissipation, check_length_identity, check_k2_identity, check_kss_inequality)
+    alone = [check(short_run) for check in checks]
+    ends = [check_boundary_hierarchy(compute_geometry(short_run.snapshots[i].curve))
+            for i in (0, -1)]
+    measured = []
+    real = hexaflow.verify.compute_geometry
+
+    def counting(curve):
+        measured.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr("hexaflow.verify.compute_geometry", counting)
+    with shared_profiles(short_run) as profiles:
+        shared = [check(short_run) for check in checks]
+        shared_ends = [check_boundary_hierarchy(profiles[i]) for i in (0, -1)]
+    assert not profiles    # emptied when the block ends
+    assert shared == alone
+    assert shared_ends == ends
+    assert [id(curve) for curve in measured] == [id(snap.curve) for snap in short_run.snapshots]
+    # outside the block each check builds its own profiles again
+    check_dissipation(short_run)
+    assert len(measured) == 2 * len(short_run.snapshots)
 
 
 class TestTermLevelQuadrature:
