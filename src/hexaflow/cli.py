@@ -5,10 +5,11 @@ runs every verification check, `psw` samples the Poincare-type inequalities
 standalone, and `sweep` runs a grid of configurations.  `run`, `verify` and
 `sweep` share one path: a plan of runs, each checked before any stepping
 (`run` and `verify` plan one run written to --out, `sweep` one per grid cell,
-each in its own subdirectory), all initial curves, then the flow's run loop
-once per flow configuration, and `emit` for each run: `run_flow` (banded
-solve) for a configuration only one run has, as every `run` and `verify`,
-`run_ensemble` for runs that share one (in practice, sweep cells of equal n).
+each in its own subdirectory), all initial curves, for `verify` the sample
+study, then the flow's run loop once per flow configuration, and `emit` for
+each run: `run_flow` (banded solve) for a configuration only one run has, as
+every `run` and `verify`, `run_ensemble` for runs that share one (in
+practice, sweep cells of equal n).
 
 Configuration documents are YAML key-value files.  The keys, their
 defaults and integer or float types are the fields of FlowConfig and
@@ -374,21 +375,30 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
     time_scale = half ** 6
     if "final_time" in meta:
         meta["final_time"] *= time_scale
-    frames = []
-    for snap in trajectory.snapshots:
-        points = snap.curve.points * half
-        if mid:  # adding 0.0 would turn a -0.0 abscissa into 0.0
-            points[:, 0] += mid
-        frames.append({"t": snap.time * time_scale, "points": points.tolist()})
-    written.append(_write_json(out / "snapshots.json", {"meta": meta, "frames": frames}))
+    # a frame at a time, in the bytes of _encode({"meta": meta, "frames": [...]}) + "\n"
+    snapshots_path = out / "snapshots.json"
+    with open(snapshots_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{"frames":[')
+        for index, snap in enumerate(trajectory.snapshots):
+            points = snap.curve.points * half
+            if mid:  # adding 0.0 would turn a -0.0 abscissa into 0.0
+                points[:, 0] += mid
+            fh.write(("," if index else "")
+                     + _encode({"t": snap.time * time_scale, "points": points.tolist()}))
+        fh.write('],"meta":' + _encode(meta) + "}\n")
+    written.append(snapshots_path)
     if reports is not None:
         written.append(_write_reports(out, reports))
     return written
 
 
+def _encode(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
 def _write_json(path: Path, document: dict) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(_encode(document) + "\n")
     return path
 
 
@@ -415,8 +425,9 @@ def _print_reports(reports: list[CheckReport]) -> None:
               f"(tolerance {report.tolerance:.3g})")
 
 
-def _verify_reports(trajectory: Trajectory) -> list[CheckReport]:
-    # one profile per snapshot for all six reports, gone before the sample study
+def _verify_reports(trajectory: Trajectory, study: CheckReport) -> list[CheckReport]:
+    # one profile per snapshot for the six trajectory reports, gone when they
+    # are done; the sample study, run before the flow, is the seventh report
     with shared_profiles(trajectory) as profiles:
         reports = [
             check_dissipation(trajectory),
@@ -426,7 +437,7 @@ def _verify_reports(trajectory: Trajectory) -> list[CheckReport]:
             check_boundary_hierarchy(profiles[0]),
             check_boundary_hierarchy(profiles[-1]),
         ]
-    return [*reports, psw_sample_study()]
+    return [*reports, study]
 
 
 def _output_dir(path: str) -> Path:
@@ -465,9 +476,9 @@ def _cmd_flow(args) -> int:
     """`run`, `verify` and `sweep`: exit 1 if a run underflows or a check fails.
 
     A `verify` run that records too few snapshots for the checks is still
-    written, without verify.json, and exits 2.  An unbuildable initial curve
-    (an error) or a nonpositive margin (a line on standard error) is named
-    with its cell's label, n, A and m, before any run.
+    written, without verify.json, and exits 2; its sample study has run.  An
+    unbuildable initial curve (an error) or a nonpositive margin (a line on
+    standard error) is named with its cell's label, n, A and m, before any run.
     """
     groups: dict[FlowConfig, list[tuple[str, Path, dict, DiscreteCurve, str]]] = {}
     notes = []
@@ -485,6 +496,9 @@ def _cmd_flow(args) -> int:
                    f"(|k_s|^2 L0^3 = {ks_l3:.6g}, threshold = {C0_PI3:.6g})")
         groups.setdefault(config, []).append((label, out, echo, curve, summary))
     sys.stderr.write("".join(notes))
+    # The sample study reads no trajectory, so it runs before the flow: its
+    # buffer is gone before the first banded solve loads scipy.linalg.
+    study = psw_sample_study() if args.command == "verify" else None
     failed = False
     too_few = False
     for config, runs in groups.items():
@@ -499,7 +513,7 @@ def _cmd_flow(args) -> int:
         for (label, out, *_), trajectory in zip(runs, trajectories):
             recorded = len(trajectory.snapshots)
             unverifiable = args.command == "verify" and recorded < MIN_SNAPSHOTS
-            reports = (_verify_reports(trajectory)
+            reports = (_verify_reports(trajectory, study)
                        if args.command == "verify" and not unverifiable else None)
             emit(trajectory, reports, out)
             status = trajectory.metadata["termination"]

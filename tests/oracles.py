@@ -23,6 +23,11 @@ tests can hold the package's study to the same report.
 
 `mutant_speed` builds wrong flows, F = k_s4 + a k^2 k_ss + b k k_s^2 with
 (a, b) other than the paper's (1, -1/2), which the checks must tell apart.
+
+`energy_gradient_mismatch` takes what F must be from the energy alone: the
+flow is the L2 steepest descent of E = 1/2 int k_s^2 ds, so a variation of
+the curve changes E by -int F <dgamma, N> ds, with no boundary terms under
+the contact conditions.
 """
 from __future__ import annotations
 
@@ -30,6 +35,8 @@ import math
 
 import numpy as np
 
+import hexaflow.flow
+from hexaflow.curve import DiscreteCurve, compute_geometry, integrate, resample_uniform
 from hexaflow.verify import (
     PSW_GRID,
     PSW_LENGTH,
@@ -220,3 +227,34 @@ def mutant_speed(a: float, b: float):
         return profile.k_s4 + a * k * k * profile.k_ss + b * k * k_s * k_s
 
     return speed
+
+
+def _cosine_mode(m: int, x: np.ndarray) -> np.ndarray:
+    """c_m = cos(m pi (x + 1) / 2): perpendicular at x = -1 and 1, every odd derivative 0 there."""
+    return np.cos(0.5 * m * math.pi * (x + 1.0))
+
+
+def energy_gradient_mismatch(base, j: int, n: int, eps: float = 1e-5) -> float:
+    """Relative mismatch of dE/deps against -int F g cos(theta) ds at n nodes.
+
+    The curve is the graph of y = sum_m base[m-1] c_m(x), sampled at 65,537
+    dense points and resampled to n + 1; it varies by eps g, g = c_j in y,
+    which keeps perpendicular contact.  dE/deps is the central difference
+    at +-eps of E = 1/2 `integrate`(k_s^2), and the normal component of the
+    variation (0, g) is g cos(theta).  F is `hexaflow.flow.normal_speed`,
+    looked up at each call so that a patched speed is the one measured.
+    """
+    x = np.linspace(-1.0, 1.0, 65537)
+    y = sum(a * _cosine_mode(m, x) for m, a in enumerate(base, 1))
+
+    def profile(shift: float):
+        dense = DiscreteCurve(np.column_stack([x, y + shift * _cosine_mode(j, x)]))
+        curve = resample_uniform(dense, n)
+        return curve, compute_geometry(curve)
+
+    energies = [0.5 * integrate(p.k_s * p.k_s, p) for _, p in (profile(eps), profile(-eps))]
+    slope = (energies[0] - energies[1]) / (2.0 * eps)
+    curve, p = profile(0.0)
+    speed = hexaflow.flow.normal_speed(p)
+    predicted = -integrate(speed * _cosine_mode(j, curve.points[:, 0]) * np.cos(p.theta), p)
+    return abs(slope - predicted) / abs(slope)

@@ -42,6 +42,25 @@ LENGTH_POWERS = {"time": 6, "omega": 0, "length": 1, "energy": -3, "knorm2": -1,
                  "bc_ks_right": -2, "bc_ksss_left": -4, "bc_ksss_right": -4}
 
 
+def _one_shot_snapshots(trajectory: Trajectory) -> bytes:
+    """snapshots.json as one json.dumps of the whole document, the bytes emit streams."""
+    config = trajectory.metadata.get("config", {})
+    left, right = config.get("line_left", -1.0), config.get("line_right", 1.0)
+    half, mid = 0.5 * (right - left), 0.5 * (left + right)
+    meta = {k: v for k, v in trajectory.metadata.items() if k != "wall_time"}
+    meta["schema_version"] = 1
+    if "final_time" in meta:
+        meta["final_time"] *= half ** 6
+    frames = []
+    for snap in trajectory.snapshots:
+        points = snap.curve.points * half
+        if mid:
+            points[:, 0] += mid
+        frames.append({"t": snap.time * half ** 6, "points": points.tolist()})
+    text = json.dumps({"meta": meta, "frames": frames}, sort_keys=True, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
+
+
 class TestParseConfig:
     def test_minimal_document_fills_defaults(self):
         config, spec, echo = parse_config(MINIMAL)
@@ -250,6 +269,7 @@ class TestEmit:
         points = flat_curve.points.copy()
         points[1:6, 1] = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, -1.5e-17]
         points[7, 0] += 0.1 + 0.2 - 0.3
+        points[64, 0] = -0.0
         curve = DiscreteCurve(points, flat_curve.line_left, flat_curve.line_right)
         profile = compute_geometry(flat_curve)
         record = make_record(0.0, profile, normal_speed(profile), profile.length)
@@ -270,7 +290,32 @@ class TestEmit:
         expected = (stream.getvalue() + "\n").encode("utf-8")
         assert (tmp_path / "snapshots.json").read_bytes() == expected
         assert b",-0.0]" in expected and b",5e-324]" in expected
+        assert b"[-0.0,0.0]" in expected
         assert b"0.30000000000000004" in expected
+
+    @pytest.mark.parametrize("command, document", [
+        ("run", MINIMAL),
+        ("run", MINIMAL + "line_left: 3.0\nline_right: 5.0\n"),
+        ("sweep", MINIMAL + "A: [0.02, 0.05]\n"),
+    ], ids=["lines-1-1", "lines-3-5", "sweep-cells"])
+    def test_streamed_snapshots_equal_the_one_shot_encoding(self, tmp_path, monkeypatch,
+                                                            command, document):
+        emitted = []
+        real = hexaflow.cli.emit
+
+        def recording(trajectory, reports, out_dir):
+            emitted.append((trajectory, Path(out_dir)))
+            return real(trajectory, reports, out_dir)
+
+        monkeypatch.setattr("hexaflow.cli.emit", recording)
+        config = tmp_path / "config.yaml"
+        config.write_text(document)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        assert len(emitted) == (2 if command == "sweep" else 1)
+        for trajectory, out in emitted:
+            assert len(trajectory.snapshots) >= 2
+            assert (out / "snapshots.json").read_bytes() == _one_shot_snapshots(trajectory)
 
     def test_round_trip_reproduces_record(self, short_run, tmp_path):
         emit(short_run, None, tmp_path)
@@ -371,6 +416,35 @@ class TestMainEntry:
             "psw" in name for name in names
         )
         assert all(rep["passed"] for rep in doc["reports"])
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_verify_runs_the_sample_study_once_before_the_flow(self, tmp_path, monkeypatch,
+                                                               command):
+        # the study reads no trajectory, so its buffer is gone before the
+        # first step loads scipy.linalg; `run` and `sweep` never call it
+        calls = []
+        real_study, real_run = hexaflow.cli.psw_sample_study, hexaflow.cli.run_flow
+
+        def study():
+            calls.append("psw_sample_study")
+            return real_study(samples_per_mode=1)
+
+        def run(*args, **kwargs):
+            calls.append("run_flow")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr("hexaflow.cli.psw_sample_study", study)
+        monkeypatch.setattr("hexaflow.cli.run_flow", run)
+        out = tmp_path / "out"
+        assert main([command, "--config", self._write_config(tmp_path), "--out", str(out),
+                     "--quiet"]) == 0
+        if command == "verify":
+            assert calls == ["psw_sample_study", "run_flow"]
+            study_report = json.loads((out / "verify.json").read_text())["reports"][-1]
+            assert study_report["name"] == "psw-sample-study"
+            assert study_report["context"].startswith("16 samples (1 per mode cap")
+        else:
+            assert calls == ["run_flow"]
 
     def test_verify_with_too_few_snapshots_writes_run_and_exits_2(self, tmp_path, capsys):
         # 6 steps at the default cadence of 100: snapshots at t = 0 and at the end only

@@ -33,6 +33,8 @@ from hexaflow.flow import (
     _solve_mirror,
 )
 
+from oracles import energy_gradient_mismatch, mutant_speed
+
 
 def _synthetic_profile(q: float, n: int = 32) -> GeometryProfile:
     """Analytic profile with k = cos(q s) on a unit-speed segment."""
@@ -642,3 +644,43 @@ def test_second_order_against_the_exact_linearised_solution(tmp_path):
         assert all(3.6 <= ratio <= 4.4 for ratio in ratios), (errors, ratios)
     np.testing.assert_allclose(_linearised_errors(tmp_path, 0.1, 1, 0.05, (32, 64, 128)),
                                mode1[:3], rtol=0.0, atol=1e-9)
+
+
+# (base, j, n at three doublings): the graph sum_m base[m-1] cos(m pi (x+1)/2)
+# varied by cos(j pi (x+1)/2).  A base of odd modes varied by j = 2 is left out:
+# there dE/deps is 0 by symmetry and the relative mismatch is noise.
+GRADIENT_CASES = [
+    ((0.3, 0.0, 0.1), 1, (128, 256, 512, 1024)),
+    ((0.3, 0.15, 0.05), 1, (256, 512, 1024, 2048)),
+    ((0.3, 0.15, 0.05), 2, (64, 128, 256, 512)),
+    ((0.3, 0.15, 0.05), 3, (64, 128, 256, 512)),
+]
+GRADIENT_IDS = ["odd-j1", "mixed-j1", "mixed-j2", "mixed-j3"]
+
+
+@pytest.mark.parametrize("base, j, resolutions", GRADIENT_CASES, ids=GRADIENT_IDS)
+def test_normal_speed_is_the_energy_gradient(base, j, resolutions):
+    """The paper's F matches dE/deps at second order in h.
+
+    The mismatches read 1.58e-2, 4.03e-3, 1.01e-3, 2.54e-4 (odd-j1),
+    3.81e-2 .. 6.09e-4 (mixed-j1, which is asymptotic only from n = 256),
+    6.37e-3 .. 1.03e-4 (mixed-j2) and 1.50e-2 .. 2.40e-4 (mixed-j3): ratios
+    3.91 to 4.03.
+    """
+    errors = [energy_gradient_mismatch(base, j, n) for n in resolutions]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.6 <= ratio <= 4.4 for ratio in ratios), (errors, ratios)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (2.0, -0.5), (1.0, 0.5)],
+                         ids=["linear", "doubled-k2-kss", "flipped-kks2"])
+@pytest.mark.parametrize("base, j, resolutions", GRADIENT_CASES, ids=GRADIENT_IDS)
+def test_energy_gradient_rejects_wrong_speeds(monkeypatch, base, j, resolutions, a, b):
+    """A wrong F misses dE/deps by far more than 0.05 at the finest n.
+
+    The smallest mismatch is 0.081, for (1, +1/2) on mixed-j3; the
+    identity checks cannot tell that flow from the paper's at verify's
+    settings.
+    """
+    monkeypatch.setattr("hexaflow.flow.normal_speed", mutant_speed(a, b))
+    assert energy_gradient_mismatch(base, j, resolutions[-1]) > 0.05

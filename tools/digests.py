@@ -1,12 +1,14 @@
 """Digests of hexaflow's recorded outputs, to show that a change leaves them byte-identical.
 
-    python3 tools/digests.py SRC
+    python3 tools/digests.py SRC [BASE_SRC]
 
-SRC is a directory holding the `hexaflow` package (a checkout's `src`).
-Each recorded document runs as one `hexaflow` command in a fresh
-interpreter with that package, and one line is printed per output set:
-its name, the command's exit code and the sha256 of its bytes.  Run the
-script on two checkouts and compare what they print.
+SRC and BASE_SRC are directories holding the `hexaflow` package (a
+checkout's `src`).  Each recorded document runs as one `hexaflow` command
+in a fresh interpreter with that package, and one line is printed per
+output set: the sha256 of its bytes, the command's exit code and the set's
+name.  With BASE_SRC, every set also runs on that package, both digests
+and exit codes are printed, and the line ends `same` or `DIFFERS`; the
+script exits 1 if any set differs.
 
 Output sets:
   verify  n = 256, t_end = 0.02, snapshot_every = 100 at two amplitudes:
@@ -69,7 +71,9 @@ def hexaflow(src: Path, args: list[str]) -> int:
 
 
 def digests(src: Path, work: Path):
-    """(name, exit code, digest) of every output set."""
+    """(name, exit code, digest) of every output set, run in the directory `work`."""
+    work.mkdir(parents=True, exist_ok=True)
+
     def run(name: str, command: str, document: dict) -> tuple[int, Path]:
         config = work / f"{name}.yaml"
         config.write_text(yaml.safe_dump(document), encoding="utf-8")
@@ -89,14 +93,23 @@ def digests(src: Path, work: Path):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not (Path(argv[0]) / "hexaflow").is_dir():
+    if not 1 <= len(argv) <= 2 or not all((Path(a) / "hexaflow").is_dir() for a in argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    src = Path(argv[0]).resolve()
+    srcs = [Path(a).resolve() for a in argv]
+    differs = False
     with tempfile.TemporaryDirectory(prefix="hexaflow-digests-") as work:
-        for name, code, digest in digests(src, Path(work)):
-            print(f"{digest}  exit {code}  {name}", flush=True)
-    return 0
+        sets = [digests(src, Path(work) / str(k)) for k, src in enumerate(srcs)]
+        for results in zip(*sets):
+            name = results[0][0]
+            codes = "/".join(str(code) for _, code, _ in results)
+            line = "  ".join(digest for _, _, digest in results) + f"  exit {codes}  {name}"
+            if len(results) == 2:
+                same = results[0] == results[1]
+                differs |= not same
+                line += "  same" if same else "  DIFFERS"
+            print(line, flush=True)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
