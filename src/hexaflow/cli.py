@@ -52,6 +52,7 @@ import numpy as np
 import yaml
 
 from .curve import (
+    MIN_SEGMENTS,
     CurveError,
     DiscreteCurve,
     check_lines,
@@ -71,19 +72,20 @@ from .verify import (
     check_length_identity,
     check_psw,
     psw_sample_study,
-    shared_profiles,
+    snapshot_profiles,
 )
 
 SCHEMA_VERSION = 1
 DENSE_SAMPLES = 8192
 
-CSV_COLUMNS = (
-    "time", "omega", "length", "energy", "knorm2", "ksnorm2", "kssnorm2",
-    "k_inf", "ks_inf", "delta_margin", "dissipation",
-    "bc_ks_left", "bc_ks_right", "bc_ksss_left", "bc_ksss_right",
-)
-# the power of half by which each column goes from reference to document units
-CSV_POWERS = (6, 0, 1, -3, -1, -3, -5, -1, -2, 0, -9, -2, -2, -4, -4)
+# diagnostics.csv: each column, a DiagnosticsRecord field or (bc_*) a
+# bc_residuals entry, and the power of half by which it goes from reference
+# to document units
+CSV_COLUMNS = {
+    "time": 6, "omega": 0, "length": 1, "energy": -3, "knorm2": -1, "ksnorm2": -3,
+    "kssnorm2": -5, "k_inf": -1, "ks_inf": -2, "delta_margin": 0, "dissipation": -9,
+    "bc_ks_left": -2, "bc_ks_right": -2, "bc_ksss_left": -4, "bc_ksss_right": -4,
+}
 
 
 class ConfigError(ValueError):
@@ -106,8 +108,8 @@ class InitialSpec:
     def __post_init__(self):
         if self.kind not in ("cosine-graph", "flat", "custom-file"):
             raise ValueError(f"unknown initial kind {self.kind!r}")
-        if self.n < 16:
-            raise ValueError(f"n must be >= 16, got {self.n}")
+        if self.n < MIN_SEGMENTS:
+            raise ValueError(f"n must be >= {MIN_SEGMENTS}, got {self.n}")
         check_lines(self.line_left, self.line_right)
         if self.kind == "cosine-graph":
             half_gap = 0.5 * (self.line_right - self.line_left)
@@ -287,8 +289,8 @@ def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
 
     # a bad n is reported before missing required keys, so a document
     # containing only that value gets the more useful error
-    if "n" in echo and echo["n"] < 16:
-        raise ConfigError(f"key 'n': must be >= 16, got {echo['n']}")
+    if "n" in echo and echo["n"] < MIN_SEGMENTS:
+        raise ConfigError(f"key 'n': must be >= {MIN_SEGMENTS}, got {echo['n']}")
     missing = [k for k, f in _CONFIG_KEYS.items() if f.default is MISSING and k not in doc]
     if missing:
         raise ConfigError("missing required key" + ("s" if len(missing) > 1 else "")
@@ -348,7 +350,7 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
     metadata is deliberately excluded.
     """
     half, mid = _frame(trajectory.metadata.get("config", {}))
-    scales = [half ** power for power in CSV_POWERS]
+    scales = [half ** power for power in CSV_COLUMNS.values()]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -358,14 +360,8 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for snap in trajectory.snapshots:
             rec = snap.record
-            bc = rec.bc_residuals
-            row = [
-                rec.time, rec.omega, rec.length, rec.energy, rec.knorm2,
-                rec.ksnorm2, rec.kssnorm2, rec.k_inf, rec.ks_inf,
-                rec.delta_margin, rec.dissipation,
-                bc.get("ks_left", 0.0), bc.get("ks_right", 0.0),
-                bc.get("ksss_left", 0.0), bc.get("ksss_right", 0.0),
-            ]
+            row = (rec.bc_residuals[name[3:]] if name.startswith("bc_") else getattr(rec, name)
+                   for name in CSV_COLUMNS)
             fh.write(",".join(_format_number(v * scale) for v, scale in zip(row, scales))
                      + "\n")
     written.append(csv_path)
@@ -426,18 +422,17 @@ def _print_reports(reports: list[CheckReport]) -> None:
 
 
 def _verify_reports(trajectory: Trajectory, study: CheckReport) -> list[CheckReport]:
-    # one profile per snapshot for the six trajectory reports, gone when they
-    # are done; the sample study, run before the flow, is the seventh report
-    with shared_profiles(trajectory) as profiles:
-        reports = [
-            check_dissipation(trajectory),
-            check_length_identity(trajectory),
-            check_k2_identity(trajectory),
-            check_kss_inequality(trajectory),
-            check_boundary_hierarchy(profiles[0]),
-            check_boundary_hierarchy(profiles[-1]),
-        ]
-    return [*reports, study]
+    # the six trajectory reports read one profile per snapshot, which the
+    # first check builds; the sample study, run before the flow, is the seventh
+    return [
+        check_dissipation(trajectory),
+        check_length_identity(trajectory),
+        check_k2_identity(trajectory),
+        check_kss_inequality(trajectory),
+        check_boundary_hierarchy(snapshot_profiles(trajectory)[0]),
+        check_boundary_hierarchy(snapshot_profiles(trajectory)[-1]),
+        study,
+    ]
 
 
 def _output_dir(path: str) -> Path:

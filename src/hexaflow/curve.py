@@ -19,6 +19,8 @@ GHOSTS = 3  # widest stencil is the 7-point fifth derivative: 3 ghosts per side
 
 TWO_PI = 2.0 * np.pi
 
+MIN_SEGMENTS = 16  # the fewest segments a curve may have
+
 SPACING_TOL = 0.01  # relative deviation from uniform spacing the stencils accept
 
 # the gap lies within 1/GAP_SCALE .. GAP_SCALE: a document's lines are mapped
@@ -79,8 +81,9 @@ class DiscreteCurve:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must have shape (n+1, 2), got {pts.shape}")
-        if pts.shape[0] < 17:
-            raise ValueError(f"need at least 17 nodes (n >= 16), got {pts.shape[0]}")
+        if pts.shape[0] < MIN_SEGMENTS + 1:
+            raise ValueError(f"need at least {MIN_SEGMENTS + 1} nodes (n >= {MIN_SEGMENTS}), "
+                             f"got {pts.shape[0]}")
         if not np.isfinite(pts).all():
             raise ValueError("points contain non-finite values")
         check_lines(self.line_left, self.line_right)
@@ -105,30 +108,14 @@ class GeometryProfile:
     phi: np.ndarray             # (n,) chord tangent angles, continuously unwrapped
     theta: np.ndarray           # (n+1,) node tangent angles (mirror-consistent)
     k: np.ndarray               # (n+1,) curvature = turning rate of theta
-    k_derivs: np.ndarray        # (5, n+1) arc-length derivatives of k, orders 1..5
+    k_s: np.ndarray             # (n+1,) arc-length derivatives of k: first
+    k_ss: np.ndarray            # (n+1,) second
+    k_sss: np.ndarray           # (n+1,) third
+    k_s4: np.ndarray            # (n+1,) fourth
+    k_s5: np.ndarray            # (n+1,) fifth
     length: float
     branch_left: int = field(default=0)   # pi-multiple of the left contact angle
     branch_right: int = field(default=0)  # pi-multiple of the right contact angle
-
-    @property
-    def k_s(self) -> np.ndarray:
-        return self.k_derivs[0]
-
-    @property
-    def k_ss(self) -> np.ndarray:
-        return self.k_derivs[1]
-
-    @property
-    def k_sss(self) -> np.ndarray:
-        return self.k_derivs[2]
-
-    @property
-    def k_s4(self) -> np.ndarray:
-        return self.k_derivs[3]
-
-    @property
-    def k_s5(self) -> np.ndarray:
-        return self.k_derivs[4]
 
 
 def _chords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +233,8 @@ def _odd_derivatives(taps: tuple[np.ndarray, ...], h) -> tuple[np.ndarray, np.nd
 @lru_cache(maxsize=8)
 def _fractions(m: int) -> np.ndarray:
     """Arc fractions of the m+1 nodes of a resampled curve."""
-    if m < 16:
-        raise ValueError(f"resample target must satisfy m >= 16, got {m}")
+    if m < MIN_SEGMENTS:
+        raise ValueError(f"resample target must satisfy m >= {MIN_SEGMENTS}, got {m}")
     f = np.linspace(0.0, 1.0, m + 1)
     f.setflags(write=False)
     return f
@@ -289,15 +276,15 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryProfile:
 
     k, theta = _curvature(phi_e, ds)
     taps = _stencil_taps(k)
-    k_derivs = np.empty((5,) + k.shape)  # orders 1..5
-    k_derivs[0], k_derivs[1], k_derivs[3] = _speed_derivatives(taps, h)
-    k_derivs[2], k_derivs[4] = _odd_derivatives(taps, h)
+    k_s, k_ss, k_s4 = _speed_derivatives(taps, h)
+    k_sss, k_s5 = _odd_derivatives(taps, h)
     s = _running_sum(ds)
-    for arr in (s, ds, phi, theta, k, k_derivs):
+    for arr in (s, ds, phi, theta, k, k_s, k_ss, k_sss, k_s4, k_s5):
         arr.setflags(write=False)
     return GeometryProfile(
-        s=s, ds=ds, h=h, phi=phi, theta=theta, k=k, k_derivs=k_derivs,
-        length=float(s[-1]), branch_left=int(m_left), branch_right=int(m_right),
+        s=s, ds=ds, h=h, phi=phi, theta=theta, k=k, k_s=k_s, k_ss=k_ss, k_sss=k_sss,
+        k_s4=k_s4, k_s5=k_s5, length=float(s[-1]), branch_left=int(m_left),
+        branch_right=int(m_right),
     )
 
 

@@ -6,6 +6,7 @@ the time stepper, so these quantities can cross-check it independently.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -67,12 +68,20 @@ class Trajectory:
 
     snapshots: tuple[Snapshot, ...]
     metadata: dict[str, Any] = field(default_factory=dict)
+    # make -> make(self), filled by `derived`
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
         times = [snap.time for snap in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
+
+    def derived(self, make: Callable[[Trajectory], Any]) -> Any:
+        """make(self), computed on the first call with `make` and kept with this trajectory."""
+        if make not in self._derived:
+            self._derived[make] = make(self)
+        return self._derived[make]
 
     @property
     def times(self) -> np.ndarray:

@@ -20,9 +20,9 @@ The solves still differ.  `step` solves both systems with scipy's
 `solve_banded` and serves runs alone, every `run` and `verify`, whose
 recorded outputs it keeps bit for bit.  The FFT solve, circulant on the
 2n-periodic mirror extension of every member's folded systems, places nodes
-a rounding error away.  Moving runs alone to it waits on a benchmark that
-does not read verify's speed as failures and on a spectral engine with
-step-size control (ROADMAP items 1 and 4).
+a rounding error away.  Moving runs alone to one solve waits on a
+benchmark that does not read verify's speed as failures and on the angle
+engine that replaces both solves (ROADMAP items 1 and 10).
 
 scipy serves only the banded solve: `_solve_banded` imports `solve_banded`
 when it first runs, so importing this module, and every ensemble run, never
@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import (
+    MIN_SEGMENTS,
     DiscreteCurve,
     GeometryProfile,
     GeometryStack,
@@ -66,8 +67,8 @@ class FlowConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.n < 16:
-            raise ValueError(f"n must be >= 16, got {self.n}")
+        if self.n < MIN_SEGMENTS:
+            raise ValueError(f"n must be >= {MIN_SEGMENTS}, got {self.n}")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must be in (0, 1], got {self.dt_safety}")
         if not 0.0 < self.t_end < np.inf:

@@ -11,7 +11,6 @@ the fully decayed tail of a run is not scored on rounding noise.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ MIN_SNAPSHOTS = 3         # the identity checks difference three consecutive sna
 PSW_TOLERANCE = 1e-3      # excess over 1 a Poincare-type ratio may show
 PSW_MAX_MODE = 8          # highest mode cap of the sample study
 PSW_GRID = 1024           # sample study intervals on [0, PSW_LENGTH]
+PSW_SAMPLES = 1000        # sample study draws per mode cap and family
 PSW_LENGTH = math.pi
 
 
@@ -65,37 +65,28 @@ def _centered_dt(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (dt1 * dt1 * fwd + dt2 * dt2 * bwd) / (dt1 * dt2 * (dt1 + dt2))
 
 
-# (trajectory, profiles) of every enclosing `shared_profiles` block
-_shared: list[tuple[Trajectory, list[GeometryProfile]]] = []
+def _build_profiles(trajectory: Trajectory) -> tuple[GeometryProfile, ...]:
+    return tuple(compute_geometry(snap.curve) for snap in trajectory.snapshots)
 
 
-def _snapshot_profiles(trajectory: Trajectory):
+def snapshot_profiles(trajectory: Trajectory) -> tuple[GeometryProfile, ...]:
+    """The geometry of every stored curve of `trajectory`, one profile per snapshot.
+
+    Built on the first call and kept with that trajectory object, so all the
+    checks of one trajectory measure each snapshot once; a new Trajectory of
+    the same snapshots builds them again.
+    """
+    return trajectory.derived(_build_profiles)
+
+
+def _snapshot_series(trajectory: Trajectory):
     snaps = trajectory.snapshots
     if len(snaps) < MIN_SNAPSHOTS:
         raise ValueError(f"need at least {MIN_SNAPSHOTS} snapshots, got {len(snaps)}")
-    times = np.array([snap.time for snap in snaps])
-    # outside a shared block, a fresh list each time
-    profiles = next((shared for held, shared in _shared if held is trajectory), [])
-    if not profiles:
-        profiles.extend(compute_geometry(snap.curve) for snap in snaps)
-    return times, profiles
+    return trajectory.times, snapshot_profiles(trajectory)
 
 
-@contextmanager
-def shared_profiles(trajectory: Trajectory):
-    """Share one geometry profile per snapshot among the checks of `trajectory` in the block.
-
-    The first check that needs them builds them into the yielded list, which
-    the block empties when it ends.
-    """
-    _shared.append((trajectory, []))
-    try:
-        yield _shared[-1][1]
-    finally:
-        _shared.pop()[1].clear()
-
-
-def _identity_tolerance(times: np.ndarray, profiles: list[GeometryProfile]) -> float:
+def _identity_tolerance(times: np.ndarray, profiles: tuple[GeometryProfile, ...]) -> float:
     return TOLERANCE_SCALE * (profiles[0].h ** 2 + float(np.diff(times).max()))
 
 
@@ -113,7 +104,7 @@ def _relative_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.abs(lhs - rhs) / denom
 
 
-def _identity_report(name: str, times: np.ndarray, profiles: list[GeometryProfile],
+def _identity_report(name: str, times: np.ndarray, profiles: tuple[GeometryProfile, ...],
                      series: np.ndarray, rhs: np.ndarray, what: str,
                      bound_violation: float | None = None) -> CheckReport:
     """Centered time difference of `series` against `rhs` at interior snapshots.
@@ -140,7 +131,7 @@ def check_dissipation(trajectory: Trajectory) -> CheckReport:
     right side is the speed quadrature at matching snapshots; the residual is
     the worst relative mismatch over interior snapshots.
     """
-    times, profiles = _snapshot_profiles(trajectory)
+    times, profiles = _snapshot_series(trajectory)
     ksn = np.array([integrate(p.k_s * p.k_s, p) for p in profiles])
     diss = np.array([integrate(normal_speed(p) ** 2, p) for p in profiles])
     return _identity_report("dissipation", times, profiles, ksn, -2.0 * diss[1:-1],
@@ -154,7 +145,7 @@ def check_length_identity(trajectory: Trajectory) -> CheckReport:
     1 - 7 (L^3/pi^3) |k_s|^2 is positive, the identity's right side must not
     exceed -bracket * |k_ss|^2.  Both violations fold into the residual.
     """
-    times, profiles = _snapshot_profiles(trajectory)
+    times, profiles = _snapshot_series(trajectory)
     length = np.array([p.length for p in profiles])
     ksn = np.array([integrate(p.k_s * p.k_s, p) for p in profiles])
     kssn = np.array([integrate(p.k_ss * p.k_ss, p) for p in profiles])
@@ -180,7 +171,7 @@ def check_k2_identity(trajectory: Trajectory) -> CheckReport:
     The right side is -2|k_sss|^2 + 5*int(k_ss^2 k^2) + 5*int(k_ss k_s^2 k)
     + int(k_ss k^5) - (1/2)*int(k_s^2 k^4), recomputed per snapshot.
     """
-    times, profiles = _snapshot_profiles(trajectory)
+    times, profiles = _snapshot_series(trajectory)
     knorm2 = np.array([integrate(p.k * p.k, p) for p in profiles])
     rhs_all = np.empty(len(profiles))
     for i, p in enumerate(profiles):
@@ -206,7 +197,7 @@ def check_kss_inequality(trajectory: Trajectory) -> CheckReport:
     the context reports the bracket's range, which stays negative in the
     small-energy regime.
     """
-    times, profiles = _snapshot_profiles(trajectory)
+    times, profiles = _snapshot_series(trajectory)
     kssn = np.array([integrate(p.k_ss * p.k_ss, p) for p in profiles])
     ksn = np.array([integrate(p.k_s * p.k_s, p) for p in profiles])
     ks5n = np.array([integrate(p.k_s5 * p.k_s5, p) for p in profiles])
@@ -310,17 +301,16 @@ def check_psw(values: np.ndarray, length: float, mode: str = "mean-zero") -> Che
     )
 
 
-def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000) -> CheckReport:
+def psw_sample_study(seed: int = 0) -> CheckReport:
     """Brute-force the Poincare-type inequalities over random trig samples.
 
     For every mode cap q = 1..PSW_MAX_MODE and both sample families (cosine
-    sums are mean-zero, sine sums vanish at the ends), draws seeded Gaussian
-    coefficient vectors on PSW_GRID + 1 points of [0, PSW_LENGTH] and runs
-    check_psw on each sample.  The report carries the worst excess over all
-    samples and enough context to reproduce any offender from the seed.
+    sums are mean-zero, sine sums vanish at the ends), draws PSW_SAMPLES
+    seeded Gaussian coefficient vectors on PSW_GRID + 1 points of
+    [0, PSW_LENGTH] and runs check_psw on each sample.  The report carries the
+    worst excess over all samples and enough context to reproduce any
+    offender from the seed.
     """
-    if samples_per_mode < 1:
-        raise ValueError(f"samples_per_mode must be at least 1, got {samples_per_mode}")
     rng = np.random.default_rng(seed)
     s = np.linspace(0.0, PSW_LENGTH, PSW_GRID + 1)
     modes = np.arange(1, PSW_MAX_MODE + 1)
@@ -330,15 +320,15 @@ def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000) -> CheckReport
     # the previous block alive while the next is formed.  check_psw reads one
     # row at a time and the kept report holds no array.  The product stays
     # whole, since a row-blocked product rounds differently.
-    fields = np.empty((samples_per_mode, PSW_GRID + 1))
+    fields = np.empty((PSW_SAMPLES, PSW_GRID + 1))
     worst: CheckReport | None = None
     worst_label = "none"
     checked = 0
     for cap in modes:
         for family, basis in (("mean-zero", cos_basis), ("dirichlet", sin_basis)):
-            coeffs = rng.standard_normal((samples_per_mode, cap))
+            coeffs = rng.standard_normal((PSW_SAMPLES, cap))
             np.matmul(coeffs, basis[:cap], out=fields)
-            for index in range(samples_per_mode):
+            for index in range(PSW_SAMPLES):
                 report = check_psw(fields[index], PSW_LENGTH, family)
                 checked += 1
                 if worst is None or report.residual > worst.residual:
@@ -350,7 +340,7 @@ def psw_sample_study(seed: int = 0, samples_per_mode: int = 1000) -> CheckReport
         rhs=worst.rhs,
         residual=float(worst.residual),
         tolerance=PSW_TOLERANCE,
-        context=(f"{checked} samples ({samples_per_mode} per mode cap and family, "
+        context=(f"{checked} samples ({PSW_SAMPLES} per mode cap and family, "
                  f"mode caps 1..{PSW_MAX_MODE}, grid {PSW_GRID}, seed {seed}); "
                  f"worst: {worst_label}; {worst.context}"),
     )

@@ -28,6 +28,9 @@ tests can hold the package's study to the same report.
 flow is the L2 steepest descent of E = 1/2 int k_s^2 ds, so a variation of
 the curve changes E by -int F <dgamma, N> ds, with no boundary terms under
 the contact conditions.
+
+`decay_rates` fits how fast the four curvature norms of a run fall, and
+`implicit_euler_rate` says how fast the scheme makes a small mode fall.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ import numpy as np
 
 import hexaflow.flow
 from hexaflow.curve import DiscreteCurve, compute_geometry, integrate, resample_uniform
+from hexaflow.diagnostics import Trajectory, decay_window, fit_decay_rate
 from hexaflow.verify import (
     PSW_GRID,
     PSW_LENGTH,
@@ -44,6 +48,7 @@ from hexaflow.verify import (
     PSW_TOLERANCE,
     CheckReport,
     check_psw,
+    snapshot_profiles,
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -258,3 +263,38 @@ def energy_gradient_mismatch(base, j: int, n: int, eps: float = 1e-5) -> float:
     speed = hexaflow.flow.normal_speed(p)
     predicted = -integrate(speed * _cosine_mode(j, curve.points[:, 0]) * np.cos(p.theta), p)
     return abs(slope - predicted) / abs(slope)
+
+
+def decay_rates(trajectory: Trajectory) -> dict[str, float]:
+    """Fitted decay rates of |k|^2, |k_s|^2, |k_ss|^2 and |k_sss|^2, by name.
+
+    Each norm is fitted over its own `decay_window(v, 0.5, 1e-12)`, which
+    must close before the last snapshot: a run's last step may be cut short
+    at t_end, and a shorter step decays at another rate per unit time.
+    |k_sss|^2 is no record field; it is integrated from the profiles of
+    `verify.snapshot_profiles`.
+    """
+    ksss = np.array([integrate(p.k_sss * p.k_sss, p) for p in snapshot_profiles(trajectory)])
+    rates = {}
+    for name in ("knorm2", "ksnorm2", "kssnorm2", "ksssnorm2"):
+        values = ksss if name == "ksssnorm2" else trajectory.series(name)
+        window = decay_window(values, 0.5, 1e-12)
+        assert window.stop < values.size, f"{name} did not fall to 1e-12 of its start"
+        rates[name] = fit_decay_rate(trajectory.times, values, window)[0]
+    return rates
+
+
+def implicit_euler_rate(trajectory: Trajectory, m: int) -> float:
+    """2 ln(1 + dt sigma_h) / dt: how fast a norm of mode m decays under the run's scheme.
+
+    The linearised step divides the mode by 1 + dt sigma_h, with
+    sigma_h = (2 - 2 cos(m pi / n))^3 / h^6 the mode's eigenvalue of the
+    folded sixth difference, so each squared norm falls by (1 + dt sigma_h)^2
+    per step.  h is the run's spacing at its end, when the decay windows
+    have closed and the curve is flat, and dt = dt_safety h^2.
+    """
+    h = snapshot_profiles(trajectory)[-1].h
+    n = trajectory.snapshots[0].curve.n
+    dt = trajectory.metadata["config"]["dt_safety"] * h * h
+    sigma = (2.0 - 2.0 * math.cos(m * math.pi / n)) ** 3 / h ** 6
+    return 2.0 * math.log1p(dt * sigma) / dt

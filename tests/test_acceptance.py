@@ -176,7 +176,8 @@ def test_criterion_08_boundary_residuals_second_order(standard_run):
 
 def test_criterion_09_poincare_inequalities_sampled():
     start = time.perf_counter()
-    study = psw_sample_study(seed=0, samples_per_mode=1000)
+    study = psw_sample_study(seed=0)
+    assert study.context.startswith("16000 samples (1000 per mode cap")
     assert study.passed
     assert study.residual <= 1e-3, f"worst ratio excess {study.residual:.3g}"
     length = math.pi

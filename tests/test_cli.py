@@ -427,12 +427,13 @@ class TestMainEntry:
 
         def study():
             calls.append("psw_sample_study")
-            return real_study(samples_per_mode=1)
+            return real_study()
 
         def run(*args, **kwargs):
             calls.append("run_flow")
             return real_run(*args, **kwargs)
 
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", 1)
         monkeypatch.setattr("hexaflow.cli.psw_sample_study", study)
         monkeypatch.setattr("hexaflow.cli.run_flow", run)
         out = tmp_path / "out"
@@ -742,7 +743,7 @@ class TestMainEntry:
 
     def test_verify_measures_each_snapshot_once(self, tmp_path, monkeypatch):
         # the four identity checks and both boundary reports share one profile
-        # per snapshot, and let them go before the sample study runs
+        # per snapshot
         measured = {"cli": 0, "verify": 0}
         for module in measured:
             real = getattr(hexaflow, module).compute_geometry
@@ -752,13 +753,7 @@ class TestMainEntry:
                 return real(curve)
 
             monkeypatch.setattr(f"hexaflow.{module}.compute_geometry", counting)
-        real_study = hexaflow.cli.psw_sample_study
-
-        def study():
-            assert not hexaflow.verify._shared
-            return real_study(samples_per_mode=1)
-
-        monkeypatch.setattr("hexaflow.cli.psw_sample_study", study)
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", 1)
         out = tmp_path / "out"
         assert main(["verify", "--config", self._write_config(tmp_path),
                      "--out", str(out), "--quiet"]) == 0

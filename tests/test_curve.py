@@ -164,8 +164,8 @@ class TestGeometryOracles:
         assert cosine_profile.branch_right == 0
 
     def test_profile_arrays_read_only(self, cosine_profile):
-        assert not cosine_profile.k.flags.writeable
-        assert not cosine_profile.k_derivs.flags.writeable
+        for name in ("k", "k_s", "k_ss", "k_sss", "k_s4", "k_s5"):
+            assert not getattr(cosine_profile, name).flags.writeable, name
 
 
 class TestParity:

@@ -15,6 +15,7 @@ from hexaflow import (
     DiscreteCurve,
     FlowConfig,
     InitialSpec,
+    Trajectory,
     check_boundary_hierarchy,
     check_dissipation,
     check_k2_identity,
@@ -29,7 +30,7 @@ from hexaflow import (
     run_flow,
 )
 import hexaflow.verify
-from hexaflow.verify import PSW_GRID, _centered_dt, shared_profiles
+from hexaflow.verify import PSW_GRID, _centered_dt, snapshot_profiles
 
 from oracles import COSINE_A005_M1, mutant_speed, psw_sample_study_reference
 
@@ -91,17 +92,13 @@ class TestIdentityChecks:
          check_kss_inequality],
     )
     def test_rejects_short_trajectories(self, flat_run, checker):
-        from hexaflow import Trajectory
-
         with pytest.raises(ValueError):
             checker(Trajectory(flat_run.snapshots[:2], {}))
 
 
-def test_checks_in_a_shared_block_build_one_profile_per_snapshot(short_run, monkeypatch):
+def test_checks_build_one_profile_per_snapshot_of_a_trajectory(short_run, monkeypatch):
     checks = (check_dissipation, check_length_identity, check_k2_identity, check_kss_inequality)
-    alone = [check(short_run) for check in checks]
-    ends = [check_boundary_hierarchy(compute_geometry(short_run.snapshots[i].curve))
-            for i in (0, -1)]
+    by_hand = [compute_geometry(snap.curve) for snap in short_run.snapshots]
     measured = []
     real = hexaflow.verify.compute_geometry
 
@@ -110,15 +107,18 @@ def test_checks_in_a_shared_block_build_one_profile_per_snapshot(short_run, monk
         return real(curve)
 
     monkeypatch.setattr("hexaflow.verify.compute_geometry", counting)
-    with shared_profiles(short_run) as profiles:
-        shared = [check(short_run) for check in checks]
-        shared_ends = [check_boundary_hierarchy(profiles[i]) for i in (0, -1)]
-    assert not profiles    # emptied when the block ends
-    assert shared == alone
-    assert shared_ends == ends
+    fresh = Trajectory(short_run.snapshots, short_run.metadata)
+    first = [check(fresh) for check in checks]
+    assert [check(fresh) for check in checks] == first
+    profiles = snapshot_profiles(fresh)
+    assert snapshot_profiles(fresh) is profiles
     assert [id(curve) for curve in measured] == [id(snap.curve) for snap in short_run.snapshots]
-    # outside the block each check builds its own profiles again
-    check_dissipation(short_run)
+    for profile, expected in zip(profiles, by_hand, strict=True):
+        for f in dataclasses.fields(expected):
+            assert np.array_equal(getattr(profile, f.name), getattr(expected, f.name)), f.name
+    # a new trajectory of the same snapshots builds its own, and checks the same
+    again = Trajectory(short_run.snapshots, short_run.metadata)
+    assert [check(again) for check in checks] == first
     assert len(measured) == 2 * len(short_run.snapshots)
 
 
@@ -239,45 +239,46 @@ class TestPoincareChecks:
 
 
 class TestSampleStudy:
-    def test_deterministic_for_fixed_seed(self):
-        a = psw_sample_study(seed=3, samples_per_mode=40)
-        b = psw_sample_study(seed=3, samples_per_mode=40)
+    def test_deterministic_for_fixed_seed(self, monkeypatch):
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", 40)
+        a = psw_sample_study(seed=3)
+        b = psw_sample_study(seed=3)
         assert a.residual == b.residual
         assert a.context == b.context
 
-    def test_default_study_passes(self):
-        report = psw_sample_study(seed=0, samples_per_mode=60)
+    def test_default_study_passes(self, monkeypatch):
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", 60)
+        report = psw_sample_study(seed=0)
         assert report.passed
         assert report.residual < report.tolerance
         assert "seed" in report.context
 
-    def test_worst_case_is_labelled(self):
-        report = psw_sample_study(seed=1, samples_per_mode=25)
+    def test_worst_case_is_labelled(self, monkeypatch):
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", 25)
+        report = psw_sample_study(seed=1)
         assert "family=" in report.context
         assert "sample=" in report.context
 
     @pytest.mark.parametrize("seed, samples_per_mode", [(0, 1000), (1, 25), (3, 40)])
-    def test_matches_the_fresh_block_reference(self, seed, samples_per_mode):
+    def test_matches_the_fresh_block_reference(self, monkeypatch, seed, samples_per_mode):
         # refilling one buffer leaves every product, and so the report, bit-identical
-        assert (dataclasses.asdict(psw_sample_study(seed, samples_per_mode))
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", samples_per_mode)
+        assert (dataclasses.asdict(psw_sample_study(seed))
                 == dataclasses.asdict(psw_sample_study_reference(seed, samples_per_mode)))
 
-    def test_keeps_one_sample_block_alive(self):
+    def test_keeps_one_sample_block_alive(self, monkeypatch):
         samples = 400
         block = samples * (PSW_GRID + 1) * 8
-        psw_sample_study(seed=0, samples_per_mode=1)  # lazy one-time set-up outside the trace
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", 1)
+        psw_sample_study(seed=0)  # lazy one-time set-up outside the trace
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", samples)
         tracemalloc.start()
         try:
-            psw_sample_study(seed=0, samples_per_mode=samples)
+            psw_sample_study(seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * block
-
-    @pytest.mark.parametrize("samples_per_mode", [0, -3])
-    def test_rejects_fewer_than_one_sample(self, samples_per_mode):
-        with pytest.raises(ValueError, match="samples_per_mode"):
-            psw_sample_study(seed=0, samples_per_mode=samples_per_mode)
 
 
 @pytest.mark.parametrize("a, b, passes", [
