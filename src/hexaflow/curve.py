@@ -241,7 +241,7 @@ def _fractions(m: int) -> np.ndarray:
 
 
 def compute_geometry(curve: DiscreteCurve) -> GeometryProfile:
-    """Curvature and derivatives of a near-uniformly sampled curve.
+    """Curvature and derivatives of a near-uniform curve: `compute_geometry_stack` of one curve.
 
     Chord angles are extended across each endpoint by the exact reflection
     identity of mirror ghosts, which makes the discrete curvature an even
@@ -249,56 +249,41 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryProfile:
     stencils on that even extension, so odd orders vanish exactly at the
     boundary nodes.
 
-    Raises SpacingError when spacing deviates from uniform by more than
-    SPACING_TOL (resample first), and ResolutionError when the tangent angle
-    turns by more than pi/2 between neighbours.
+    Raises DegenerateCurveError when two neighbours coincide, SpacingError
+    when spacing deviates from uniform by more than SPACING_TOL (resample
+    first), and ResolutionError when the tangent angle turns by more than
+    pi/2 between neighbours.
     """
-    pts = curve.points
-    ds, raw = _segment_data(pts)
-    h = float(ds.mean())
-    dev = float(np.abs(ds - h).max())
-    if dev > SPACING_TOL * h:
-        raise SpacingError(
-            f"spacing deviates {dev / h:.3%} from uniform (tolerance {SPACING_TOL:.1%}); "
-            "resample the curve first"
-        )
-
-    turns = _turns(raw)
-    phi_e = _unwrap(raw, turns)
-    phi = phi_e[1:-1]
-    jumps, (m_left, m_right) = _set_ghosts(phi_e)
-    worst = max(float(np.abs(turns).max(initial=0.0)), float(jumps.max()))
-    if worst > 0.5 * np.pi:
-        raise ResolutionError(
-            f"tangent angle jumps by {worst:.3f} rad (> pi/2); curve is under-resolved "
-            "or violates perpendicular contact"
-        )
-
-    k, theta = _curvature(phi_e, ds)
-    taps = _stencil_taps(k)
-    k_s, k_ss, k_s4 = _speed_derivatives(taps, h)
-    k_sss, k_s5 = _odd_derivatives(taps, h)
-    s = _running_sum(ds)
-    for arr in (s, ds, phi, theta, k, k_s, k_ss, k_sss, k_s4, k_s5):
-        arr.setflags(write=False)
-    return GeometryProfile(
-        s=s, ds=ds, h=h, phi=phi, theta=theta, k=k, k_s=k_s, k_ss=k_ss, k_sss=k_sss,
-        k_s4=k_s4, k_s5=k_s5, length=float(s[-1]), branch_left=int(m_left),
-        branch_right=int(m_right),
-    )
+    geometry = compute_geometry_stack(curve.points[None])
+    if not geometry.valid[0]:
+        _segment_data(curve.points)  # names a pair of coincident nodes, if there is one
+        h, spread, jump = geometry.h[0], geometry.spread[0], geometry.jump[0]
+        if not spread <= SPACING_TOL * h:
+            raise SpacingError(f"spacing deviates {spread / h:.3%} from uniform (tolerance "
+                               f"{SPACING_TOL:.1%}); resample the curve first")
+        raise ResolutionError(f"tangent angle jumps by {jump:.3f} rad (> pi/2); curve is "
+                              "under-resolved or violates perpendicular contact")
+    return geometry.profile(0)
 
 
 @dataclass(frozen=True)
 class GeometryStack:
-    """The stepper's geometry of B curves with n+1 nodes each, one row per curve.
+    """The geometry of B curves with n+1 nodes each, one row per curve.
 
-    Rows hold what `compute_geometry` returns for that curve, bit for bit,
-    limited to the fields the normal speed and the step need.  A row whose
-    curve that function would reject has `valid` False and meaningless values.
+    `compute_geometry_stack` is the only place that computes it: the
+    stepper reads the rows directly, and `profile` turns a row into the
+    `GeometryProfile` that `compute_geometry` returns for that curve.  A row
+    whose curve that function would reject has `valid` False and
+    meaningless values; `ds`, `spread` and `jump` say why.
     """
 
     valid: np.ndarray           # (B,) the curve passed every validity check
     h: np.ndarray               # (B,) mean spacing
+    spread: np.ndarray          # (B,) largest deviation of a segment length from h
+    jump: np.ndarray            # (B,) largest tangent-angle jump, ghosts included
+    ds: np.ndarray              # (B, n) segment lengths
+    phi: np.ndarray             # (B, n) chord tangent angles, continuously unwrapped
+    branch: np.ndarray          # (B, 2) pi-multiples of the left and right contact angles
     theta: np.ndarray           # (B, n+1) node tangent angles
     k: np.ndarray               # (B, n+1) curvature
     k_s: np.ndarray             # (B, n+1) first arc-length derivative of k
@@ -314,31 +299,49 @@ class GeometryStack:
         for f in fields(self):
             getattr(self, f.name)[index] = getattr(rows, f.name)
 
+    def profile(self, row: int) -> GeometryProfile:
+        """The read-only `GeometryProfile` of one row, on copies that a later `put` leaves alone.
+
+        k_sss and k_s5, which only the diagnostics and checks read, and the
+        arc positions are derived here, from the row alone.
+        """
+        arrays = {name: getattr(self, name)[row].copy()
+                  for name in ("ds", "phi", "theta", "k", "k_s", "k_ss", "k_s4")}
+        h = float(self.h[row])
+        arrays["k_sss"], arrays["k_s5"] = _odd_derivatives(_stencil_taps(arrays["k"]), h)
+        arrays["s"] = s = _running_sum(arrays["ds"])
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        left, right = self.branch[row]
+        return GeometryProfile(h=h, length=float(s[-1]), branch_left=int(left),
+                               branch_right=int(right), **arrays)
+
 
 def compute_geometry_stack(points: np.ndarray) -> GeometryStack:
-    """`compute_geometry` of every curve in a (B, n+1, 2) stack at once.
+    """The geometry of every curve in a (B, n+1, 2) stack at once; `compute_geometry` is B = 1.
 
-    The same arithmetic runs along the batch axis, so each row equals the
-    single-curve result exactly and no row depends on another.  Instead of
-    raising, a row fails `valid` when its nodes are non-finite, a segment is
-    degenerate, spacing is off by more than SPACING_TOL, or the tangent
-    angle jumps by more than pi/2.  Non-finite nodes need no test of their
-    own: they make h or the spacing deviation NaN or infinite, which fails
-    the spacing test.
+    The arithmetic runs along the batch axis, so no row depends on another.
+    Instead of raising, a row fails `valid` when its nodes are non-finite, a
+    segment is degenerate, spacing is off by more than SPACING_TOL, or the
+    tangent angle jumps by more than pi/2.  Non-finite nodes need no test of
+    their own: they make h or the spacing deviation NaN or infinite, which
+    fails the spacing test.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         ds, raw = _chords(points)
         h = ds.mean(axis=1)
+        spread = np.abs(ds - h[:, None]).max(axis=1)
         valid = (ds > 0.0).all(axis=1)
-        valid &= np.abs(ds - h[:, None]).max(axis=1) <= SPACING_TOL * h
+        valid &= spread <= SPACING_TOL * h
         turns = _turns(raw)
         phi_e = _unwrap(raw, turns)
-        jumps, _ = _set_ghosts(phi_e)
-        worst = np.maximum(np.abs(turns).max(axis=1, initial=0.0), jumps.max(axis=1))
-        valid &= worst <= 0.5 * np.pi
+        jumps, branch = _set_ghosts(phi_e)
+        jump = np.maximum(np.abs(turns).max(axis=1, initial=0.0), jumps.max(axis=1))
+        valid &= jump <= 0.5 * np.pi
         k, theta = _curvature(phi_e, ds)
         k_s, k_ss, k_s4 = _speed_derivatives(_stencil_taps(k), h[:, None])
-    return GeometryStack(valid, h, theta, k, k_s, k_ss, k_s4)
+    return GeometryStack(valid, h, spread, jump, ds, phi_e[:, 1:-1], branch, theta, k, k_s,
+                         k_ss, k_s4)
 
 
 def integrate(values: np.ndarray, profile: GeometryProfile) -> float:
@@ -472,16 +475,19 @@ def resample_uniform_stack(points: np.ndarray, m: int) -> tuple[np.ndarray, np.n
         s_flat, t_flat = s.ravel(), t.ravel()
 
         targets = _fractions(m) * s[:, -1:]
-        j = _clamp(_search_sorted_rows(s, np.nextafter(targets, np.inf)) - 1, N - 1) + offset
-        s_j, t_j = s_flat[j], t_flat[j]
-        j1 = j + 1
-        slope = (t_flat[j1] - t_j) / (s_flat[j1] - s_j)
-        tau = slope * (targets - s_j) + t_j
+        j = _clamp(_search_sorted_rows(s, np.nextafter(targets, np.inf)) - 1, N - 1)
+        j0 = j + offset
+        j1 = j0 + 1
+        s_j, t_j, t_j1 = s_flat[j0], t_flat[j0], t_flat[j1]
+        tau = (t_j1 - t_j) / (s_flat[j1] - s_j) * (targets - s_j) + t_j
         tau[:, -1] = t[:, -1]
 
         # flat indices of the four interpolation nodes b..b+3 of every target,
-        # formed once for their parameters and for both coordinates
-        nodes = _clamp(_search_sorted_rows(t, tau) - 2, N - 3) + offset + _STENCIL
+        # formed once for their parameters and for both coordinates.  tau lies
+        # in [t_j, t_j+1] up to a rounding far smaller than any gap of t, so
+        # the entries of t below it are t_0 .. t_j-1 and those of t_j, t_j+1
+        # that it exceeds: this is `np.searchsorted(t, tau)` without a search
+        nodes = _clamp(j + (tau > t_j) + (tau > t_j1) - 2, N - 3) + offset + _STENCIL
         w0, w1, w2, w3 = _lagrange_weights(t_flat[nodes], tau)
         out = np.empty((rows, m + 1, 2))
         for axis in range(2):

@@ -286,9 +286,10 @@ def _run(config: FlowConfig, initials: Sequence[DiscreteCurve],
     endings: list[tuple[str, int, float] | None] = [None] * len(starts)
 
     def record(row: int) -> None:
+        # the record reads the row the step built, which is the stored curve's geometry
         b = live[row]
-        curve = DiscreteCurve(points[row])
-        snaps[b].append(_snapshot(clock[row], curve, compute_geometry(curve), length_refs[b]))
+        snaps[b].append(_snapshot(clock[row], DiscreteCurve(points[row]), geometry.profile(row),
+                                  length_refs[b]))
 
     def finish(row: int, termination: str) -> None:
         b = live[row]

@@ -743,8 +743,9 @@ class TestMainEntry:
 
     def test_verify_measures_each_snapshot_once(self, tmp_path, monkeypatch):
         # the four identity checks and both boundary reports share one profile
-        # per snapshot
-        measured = {"cli": 0, "verify": 0}
+        # per snapshot; the run measures only its initial curve, since its
+        # records read the geometry its steps built
+        measured = {"cli": 0, "flow": 0, "verify": 0}
         for module in measured:
             real = getattr(hexaflow, module).compute_geometry
 
@@ -759,7 +760,7 @@ class TestMainEntry:
                      "--out", str(out), "--quiet"]) == 0
         frames = json.loads((out / "snapshots.json").read_text())["frames"]
         assert len(frames) >= 3
-        assert measured == {"cli": 1, "verify": len(frames)}
+        assert measured == {"cli": 1, "flow": 1, "verify": len(frames)}
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

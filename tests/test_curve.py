@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from hexaflow import (
     DegenerateCurveError,
     DiscreteCurve,
+    GeometryProfile,
     InitialSpec,
     ResolutionError,
     SpacingError,
@@ -204,7 +206,8 @@ class TestGeometryErrors:
         h = x[1] - x[0]
         x[1:-1:2] += 0.3 * h
         pts = np.column_stack([x, np.zeros(33)])
-        with pytest.raises(SpacingError):
+        with pytest.raises(SpacingError, match=r"^spacing deviates 30\.000% from uniform "
+                           r"\(tolerance 1\.0%\); resample the curve first$"):
             compute_geometry(DiscreteCurve(pts, -1.0, 1.0))
 
     def test_sharp_corner(self):
@@ -212,7 +215,9 @@ class TestGeometryErrors:
         h = x[1] - x[0]
         y = 0.7 * h * np.where(np.arange(33) % 2 == 0, 1.0, -1.0)
         pts = np.column_stack([x, y])
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ResolutionError, match=r"^tangent angle jumps by 1\.901 rad "
+                           r"\(> pi/2\); curve is under-resolved or violates perpendicular "
+                           "contact$"):
             compute_geometry(DiscreteCurve(pts, -1.0, 1.0))
 
 
@@ -344,12 +349,8 @@ class TestStackKernels:
                 assert not stack.valid[b], b
                 continue
             assert stack.valid[b], b
-            assert stack.h[b] == profile.h
-            assert np.array_equal(stack.theta[b], profile.theta)
-            assert np.array_equal(stack.k[b], profile.k)
-            assert np.array_equal(stack.k_s[b], profile.k_s)
-            assert np.array_equal(stack.k_ss[b], profile.k_ss)
-            assert np.array_equal(stack.k_s4[b], profile.k_s4)
+            # a row of a stack of eight is the profile of its curve alone
+            _assert_same_profile(stack.profile(b), profile)
         assert stack.valid.tolist() == [True] * 4 + [False] * 4
 
     @pytest.mark.parametrize("m", [32, 48])
@@ -435,20 +436,36 @@ class TestStackKernels:
     @settings(max_examples=25, deadline=None)
     def test_stack_of_one_is_bitwise_single(self, seed, m):
         rng = np.random.default_rng(seed)
+        # `compute_geometry` is the kernel on a stack of one: the same curve
+        # among batch-mates gives the same profile, bit for bit
         curve = _cosine(m, amplitude=rng.uniform(0.0, 0.05))
-        stack = compute_geometry_stack(curve.points[None])
-        profile = compute_geometry(curve)
-        assert stack.valid.tolist() == [True] and stack.h[0] == profile.h
-        for name in ("theta", "k", "k_s", "k_ss", "k_s4"):
-            assert np.array_equal(getattr(stack, name)[0], getattr(profile, name)), name
+        mates = [_cosine(m, amplitude=rng.uniform(0.0, 0.05)).points, curve.points,
+                 curve.points * [1.0, -1.0]]
+        stack = compute_geometry_stack(np.stack(mates))
+        assert stack.valid.tolist() == [True] * 3
+        _assert_same_profile(stack.profile(1), compute_geometry(curve))
 
     def test_take_and_put_rows(self):
-        stack = compute_geometry_stack(np.stack(_stack_rows()[:4]))
+        rows = _stack_rows()[:4]
+        stack = compute_geometry_stack(np.stack(rows))
         part = stack.take(np.array([2, 0]))
         assert np.array_equal(part.k[1], stack.k[0])
+        taken = stack.profile(1)
         stack.put(np.array([1]), part.take(np.array([1])))
         assert np.array_equal(stack.k[1], stack.k[0])
         assert stack.h[1] == stack.h[0]
+        # a profile taken before the put keeps its own row, read-only
+        _assert_same_profile(taken, compute_geometry(DiscreteCurve(rows[1], -1.0, 1.0)))
+        _assert_same_profile(stack.profile(1), compute_geometry(DiscreteCurve(rows[0], -1.0, 1.0)))
+        for name in ("s", "ds", "phi", "theta", "k", "k_s", "k_ss", "k_sss", "k_s4", "k_s5"):
+            assert not getattr(taken, name).flags.writeable, name
+
+
+def _assert_same_profile(got: GeometryProfile, want: GeometryProfile) -> None:
+    """Every field of two profiles equal, arrays bit for bit."""
+    for f in fields(GeometryProfile):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hexaflow import (
     compute_geometry,
     generate_initial,
     integrate,
+    make_record,
     normal_speed,
     resample_uniform,
     run_ensemble,
@@ -416,6 +418,20 @@ def ensemble_run(ensemble_members):
     return run_ensemble(ENSEMBLE_CONFIG, ensemble_members)
 
 
+def _broken_after_three_steps(real):
+    """A double of `_advance` that rejects the A = 0.08 member at every call after the third."""
+    calls = {"count": 0}
+
+    def broken(points, geometry, dt, solve):
+        new_points, new_geometry = real(points, geometry, dt, solve)
+        calls["count"] += 1
+        if calls["count"] > 3:
+            new_geometry.valid[np.abs(points[:, :, 1]).max(axis=1) > 0.065] = False
+        return new_points, new_geometry
+
+    return broken
+
+
 class TestRunEnsemble:
     def test_members_match_their_own_run_flow(self, ensemble_members, ensemble_run):
         for initial, member in zip(ensemble_members, ensemble_run):
@@ -485,18 +501,7 @@ class TestRunEnsemble:
     def test_underflowing_member_keeps_partial_trajectory(
         self, ensemble_members, ensemble_run, monkeypatch
     ):
-        real = flow._advance
-        calls = {"count": 0}
-
-        def broken_after_three_steps(points, geometry, dt, solve):
-            new_points, new_geometry = real(points, geometry, dt, solve)
-            calls["count"] += 1
-            if calls["count"] > 3:
-                target = np.abs(points[:, :, 1]).max(axis=1) > 0.065
-                new_geometry.valid[target] = False
-            return new_points, new_geometry
-
-        monkeypatch.setattr("hexaflow.flow._advance", broken_after_three_steps)
+        monkeypatch.setattr("hexaflow.flow._advance", _broken_after_three_steps(flow._advance))
         runs = run_ensemble(ENSEMBLE_CONFIG, ensemble_members)
         broken = runs[2]
         assert broken.metadata["termination"] == "dt_underflow"
@@ -595,6 +600,32 @@ class TestRunEnsemble:
             run_ensemble(config, [ensemble_members[1], wide])
         with pytest.raises(ValueError, match="winding"):
             run_ensemble(FlowConfig(n=512, t_end=1e-3), [u_turn_curve])
+
+
+@pytest.mark.parametrize("case", ["run_flow", "run_ensemble", "dt_underflow"])
+def test_records_read_from_the_step_equal_a_recompute(case, ensemble_members, ensemble_run,
+                                                      monkeypatch):
+    # The run loop reads each record's geometry from the row the step built;
+    # it must equal the record of a fresh `compute_geometry` of the stored
+    # curve, field by field, bit for bit.  The underflowing member records
+    # its last accepted curve from the stack of the step before the rejection.
+    if case == "run_flow":
+        runs = [run_flow(ENSEMBLE_CONFIG, ensemble_members[3])]
+    elif case == "run_ensemble":
+        runs = ensemble_run
+    else:
+        monkeypatch.setattr("hexaflow.flow._advance", _broken_after_three_steps(flow._advance))
+        runs = run_ensemble(ENSEMBLE_CONFIG, ensemble_members)
+        assert runs[2].metadata["termination"] == "dt_underflow"
+        assert runs[2].snapshots[-1].time == runs[2].metadata["final_time"] > 0.0
+    for run in runs:
+        assert len(run.snapshots) >= 2
+        length_ref = run.snapshots[0].record.length
+        for snap in run.snapshots:
+            profile = compute_geometry(snap.curve)
+            want = make_record(snap.time, profile, normal_speed(profile), length_ref)
+            for f in fields(want):
+                assert getattr(snap.record, f.name) == getattr(want, f.name), (snap.time, f.name)
 
 
 def _linearised_errors(tmp_path, half: float, m: int, t_end: float,
