@@ -312,8 +312,6 @@ def _config_from_dict(doc: dict) -> tuple[FlowConfig, InitialSpec, dict]:
 
 def sweep_cells(doc: dict) -> list[tuple[str, dict]]:
     """Expand list-valued A, m, n keys into one configuration per grid cell."""
-    if not isinstance(doc, dict):
-        raise ConfigError("sweep configuration must be a key-value document")
     grids = {}
     for key in ("A", "m", "n"):
         value = doc.get(key)
@@ -368,7 +366,7 @@ def emit(trajectory: Trajectory, reports: list[CheckReport] | None, out_dir) -> 
 
     meta = {k: v for k, v in trajectory.metadata.items() if k != "wall_time"}
     meta["schema_version"] = SCHEMA_VERSION
-    time_scale = half ** 6
+    time_scale = half ** CSV_COLUMNS["time"]
     if "final_time" in meta:
         meta["final_time"] *= time_scale
     # a frame at a time, in the bytes of _encode({"meta": meta, "frames": [...]}) + "\n"
@@ -409,9 +407,11 @@ def _print_summary(trajectory: Trajectory) -> None:
     final = trajectory.snapshots[-1].record
     half, _ = _frame(meta.get("config", {}))
     print(f"run finished: termination={meta['termination']} steps={meta['steps']} "
-          f"t={meta['final_time'] * half ** 6:.6g} snapshots={len(trajectory.snapshots)}")
-    print(f"final: L={final.length * half:.9g} energy={final.energy * half ** -3:.6g} "
-          f"k_inf={final.k_inf * half ** -1:.6g} omega={final.omega:.3g}")
+          f"t={meta['final_time'] * half ** CSV_COLUMNS['time']:.6g} "
+          f"snapshots={len(trajectory.snapshots)}")
+    print(f"final: L={final.length * half ** CSV_COLUMNS['length']:.9g} "
+          f"energy={final.energy * half ** CSV_COLUMNS['energy']:.6g} "
+          f"k_inf={final.k_inf * half ** CSV_COLUMNS['k_inf']:.6g} omega={final.omega:.3g}")
 
 
 def _print_reports(reports: list[CheckReport]) -> None:

@@ -12,9 +12,11 @@ right-hand side, the re-pinning and the geometry and resampling kernels of
 `curve`, each written once over the batch axis, with a validity mask where a
 curve is rejected; only the solve is passed in.  `_run` steps the curves
 that share a configuration in lockstep, each with its own step size, clock,
-rejections, snapshots and termination.  `run_flow` is that loop on a stack
-of one, stepped by `step`; `run_ensemble` steps by `_advance` with the FFT
-solve.
+rejections, snapshots and termination.  One way in and one way out: every
+snapshot record, the first one included, reads the member's row of a
+geometry stack, and every member ends through one retirement.  `run_flow`
+is that loop on a stack of one, stepped by `step`; `run_ensemble` steps by
+`_advance` with the FFT solve.
 
 The solves still differ.  `step` solves both systems with scipy's
 `solve_banded` and serves runs alone, every `run` and `verify`, whose
@@ -47,7 +49,7 @@ from .curve import (
     resample_uniform,
     resample_uniform_stack,
 )
-from .diagnostics import Snapshot, Trajectory, make_record, winding_number
+from .diagnostics import Snapshot, Trajectory, make_record
 
 SIXTH_DIFF = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])  # offsets -3..3
 
@@ -208,27 +210,15 @@ def step(points: np.ndarray, geometry: GeometryStack,
     return _advance(points, geometry, np.array([dt]), _solve_banded)
 
 
-def _initial_curve(config: FlowConfig,
-                   initial: DiscreteCurve) -> tuple[DiscreteCurve, GeometryProfile]:
-    """Start of a run: the initial curve at the config's resolution, checked, and its geometry."""
+def _initial_curve(config: FlowConfig, initial: DiscreteCurve) -> DiscreteCurve:
+    """The initial curve between the lines x = -1 and 1, at the config's resolution.
+
+    Its geometry and winding are checked by `_run`, on its row of the initial stack.
+    """
     if initial.line_left != -1.0 or initial.line_right != 1.0:
         raise ValueError("runs step between the lines x = -1 and 1, not "
                          f"{initial.line_left} and {initial.line_right}")
-    curve = initial if initial.n == config.n else resample_uniform(initial, config.n)
-    profile = compute_geometry(curve)
-    omega0 = winding_number(profile)
-    if abs(omega0) > 0.1:
-        raise ValueError(
-            f"initial winding number {omega0:.3f} is not 0; the straightening "
-            "regime requires zero total turning"
-        )
-    return curve, profile
-
-
-def _snapshot(time: float, curve: DiscreteCurve, profile: GeometryProfile,
-              length_ref: float) -> Snapshot:
-    rec = make_record(time, profile, normal_speed(profile), length_ref)
-    return Snapshot(time, curve, rec)
+    return initial if initial.n == config.n else resample_uniform(initial, config.n)
 
 
 def run_flow(config: FlowConfig, initial: DiscreteCurve,
@@ -261,56 +251,72 @@ def _run(config: FlowConfig, initials: Sequence[DiscreteCurve],
          extras: Sequence[dict | None], advance) -> list[Trajectory]:
     """Run the curves of `initials` in lockstep, one `advance` call per step; one trajectory each.
 
-    Each member records a snapshot with a full diagnostics record at the
-    start, every snapshot_every-th step and at its end: the time horizon,
-    the step cap, or sup|k| below stop_knorm (0 disables that test).  Its dt
+    The initial curves are stacked and measured at once; a row the stack
+    rejects raises the typed error `compute_geometry` gives for its curve,
+    and a nonzero winding number is refused.  Each member records a
+    snapshot with a full diagnostics record at the start, every
+    snapshot_every-th step and at its end, each read from its row of the
+    geometry stack, with the margin measured against the first record's
+    length.  `retire` ends a member at the time horizon, the step cap, or
+    sup|k| below stop_knorm (0 disables that test).  Its dt
     = dt_safety * h^2 is capped at t_end: the implicit sixth-order part is
     unconditionally stable, and the explicit remainder behaves no worse than
     second-order transport.  A rejected member alone retries at halved dt;
-    more than 40 halvings end it as "dt_underflow", with its partial
+    more than 40 halvings retire it as "dt_underflow", with its partial
     trajectory.  The stack is compacted only when members end.
     """
-    starts = [_initial_curve(config, initial) for initial in initials]
+    curves = [_initial_curve(config, initial) for initial in initials]
     wall_start = _time.perf_counter()
     # Row r of points, geometry, clock and dt belongs to member live[r].  Clocks
     # and step sizes are Python floats: on a stack of a few curves they cost
     # less than numpy calls, and numpy's square of h can differ in the last bit.
-    live = np.arange(len(starts))
-    points = np.stack([curve.points for curve, _ in starts])
+    live = np.arange(len(curves))
+    points = np.stack([curve.points for curve in curves])
     geometry = compute_geometry_stack(points)
-    clock = [0.0] * len(starts)
-    rejections = [0] * len(starts)
-    length_refs = [profile.length for _, profile in starts]
-    snaps = [[_snapshot(0.0, curve, profile, ref)]
-             for (curve, profile), ref in zip(starts, length_refs)]
-    endings: list[tuple[str, int, float] | None] = [None] * len(starts)
+    clock = [0.0] * len(curves)
+    rejections = [0] * len(curves)
+    snaps: list[list[Snapshot]] = [[] for _ in curves]
+    endings: list[tuple[str, int, float] | None] = [None] * len(curves)
+    steps = 0
 
     def record(row: int) -> None:
-        # the record reads the row the step built, which is the stored curve's geometry
+        # the record reads the row the run built, which is the stored curve's
+        # geometry; the margin is measured against the first record's length
         b = live[row]
-        snaps[b].append(_snapshot(clock[row], DiscreteCurve(points[row]), geometry.profile(row),
-                                  length_refs[b]))
+        profile = geometry.profile(row)
+        length_ref = snaps[b][0].record.length if snaps[b] else profile.length
+        rec = make_record(clock[row], profile, normal_speed(profile), length_ref)
+        snaps[b].append(Snapshot(clock[row], DiscreteCurve(points[row]), rec))
 
-    def finish(row: int, termination: str) -> None:
-        b = live[row]
-        endings[b] = (termination, steps, clock[row])
-        if snaps[b][-1].time < clock[row]:
-            record(row)
+    def retire(reasons: Sequence[str | None]) -> list[int]:
+        # every member with a reason ends here, its last state recorded once;
+        # the rows of the others come back, to keep
+        for row, reason in enumerate(reasons):
+            if reason is not None:
+                b = live[row]
+                if snaps[b][-1].time < clock[row]:
+                    record(row)
+                endings[b] = (reason, steps, clock[row])
+        return [row for row, reason in enumerate(reasons) if reason is None]
 
-    steps = 0
+    for row, curve in enumerate(curves):
+        if not geometry.valid[row]:
+            compute_geometry(curve)  # raises the typed error that rejects the row
+        record(row)
+        omega0 = snaps[row][0].record.omega
+        if abs(omega0) > 0.1:
+            raise ValueError(f"initial winding number {omega0:.3f} is not 0; the straightening "
+                             "regime requires zero total turning")
+
     t_limit = config.t_end - 1e-12 * config.t_end
     while live.size:
         capped = steps >= config.max_steps
         flat = ((np.abs(geometry.k).max(axis=1) < config.stop_knorm).tolist()
                 if config.stop_knorm > 0.0 else [False] * live.size)
         if capped or max(clock) >= t_limit or any(flat):
-            ended = [stop or time >= t_limit for stop, time in zip(flat, clock)]
-            for row, end in enumerate(ended):
-                if end or capped:
-                    finish(row, "stop_knorm" if flat[row] else "t_end" if end else "max_steps")
-            if capped:
-                break
-            keep = [row for row, end in enumerate(ended) if not end]
+            keep = retire(["stop_knorm" if stop else "t_end" if time >= t_limit
+                           else "max_steps" if capped else None
+                           for stop, time in zip(flat, clock)])
             live, points, geometry = live[keep], points[keep], geometry.take(keep)
             clock = [clock[row] for row in keep]
             continue
@@ -333,9 +339,7 @@ def _run(config: FlowConfig, initials: Sequence[DiscreteCurve],
                                                      [dt[row] for row in retry])
                 new_geometry.put(retry, retried)
                 retry = [row for row, ok in zip(retry, retried.valid.tolist()) if not ok]
-            for row in np.flatnonzero(~new_geometry.valid):
-                finish(row, "dt_underflow")
-            keep = np.flatnonzero(new_geometry.valid)
+            keep = retire([None if ok else "dt_underflow" for ok in new_geometry.valid.tolist()])
             live, new_points, new_geometry = live[keep], new_points[keep], new_geometry.take(keep)
             clock, dt = [clock[row] for row in keep], [dt[row] for row in keep]
         points, geometry = new_points, new_geometry

@@ -95,6 +95,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'n'"):
             parse_config("n: true\nt_end: 1.0\ninit: flat\n")
 
+    def test_non_numeric_value_named(self):
+        with pytest.raises(ConfigError, match=r"key 't_end': expected a number, got 'abc'"):
+            parse_config("n: 64\nt_end: abc\ninit: cosine-graph\n")
+
+    def test_mode_must_be_positive(self):
+        with pytest.raises(ConfigError, match="m must be a positive integer, got 0"):
+            parse_config(MINIMAL + "m: 0\n")
+
     def test_scientific_notation_string_coerced(self):
         config, _, _ = parse_config(MINIMAL + "stop_knorm: 1e-8\n")
         assert config.stop_knorm == 1e-8
@@ -159,6 +167,10 @@ class TestGenerateInitial:
         assert curve.points[0, 0] == -1.0
         assert curve.points[-1, 0] == 1.0
 
+    def test_spec_below_the_fewest_segments_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 16, got 8"):
+            InitialSpec(kind="flat", n=8)
+
     def test_cosine_amplitude_reached(self, cosine_curve):
         # the crest of the half-period graph sits at the midpoint
         assert np.abs(cosine_curve.points[:, 1]).max() == pytest.approx(
@@ -186,6 +198,18 @@ class TestGenerateInitial:
         assert curve.n == 64
         assert curve.points[0, 0] == -1.0
 
+    def test_custom_file_at_another_resolution_is_resampled(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 129)
+        pts = [[float(a), float(0.01 * (1.0 - a * a) ** 2)] for a in x]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"points": pts}))
+        curve = generate_initial(InitialSpec(kind="custom-file", n=64, path=str(path)))
+        assert curve.n == 64
+        assert (curve.points[0, 0], curve.points[-1, 0]) == (-1.0, 1.0)
+        d = np.diff(curve.points, axis=0)
+        ds = np.hypot(d[:, 0], d[:, 1])
+        assert np.abs(ds - ds.mean()).max() < 1e-6 * ds.mean()
+
     def test_custom_file_endpoint_mismatch(self, tmp_path):
         x = np.linspace(-0.9, 1.0, 65)
         pts = [[float(a), 0.0] for a in x]
@@ -194,18 +218,24 @@ class TestGenerateInitial:
         with pytest.raises(ConfigError, match="endpoint"):
             generate_initial(InitialSpec(kind="custom-file", n=64, path=str(path)))
 
-    @pytest.mark.parametrize("document", [
-        {"frames": [{"t": 0.0}]},
-        {"frames": {"0": {"points": [[-1.0, 0.0], [1.0, 0.0]]}}},
-    ], ids=["frame-without-points", "frames-not-a-list"])
-    def test_malformed_custom_file_exits_2(self, tmp_path, capsys, document):
+    @pytest.mark.parametrize("document, message", [
+        ({"frames": [{"t": 0.0}]}, "frame -1 has no 'points' entry"),
+        ({"frames": {"0": {"points": [[-1.0, 0.0], [1.0, 0.0]]}}}, "'frames' must be a list"),
+        ({"frames": []}, "no frames to ingest"),
+        ({"curve": [[-1.0, 0.0], [1.0, 0.0]]}, "expected a 'points' or 'frames' entry"),
+        ([[-1.0, 0.0], [1.0, 0.0]], "expected a 'points' or 'frames' entry"),
+        ({"points": [-1.0, 0.0, 1.0]}, r"points must be an \(n\+1\) x 2 table"),
+        ({"points": [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}, r"points must be an \(n\+1\) x 2"),
+    ], ids=["frame-without-points", "frames-not-a-list", "no-frames", "no-points-entry",
+            "bare-list", "flat-list", "three-columns"])
+    def test_malformed_custom_file_exits_2(self, tmp_path, capsys, document, message):
         path = tmp_path / "snaps.json"
         path.write_text(json.dumps(document))
         config = tmp_path / "config.yaml"
         config.write_text(f"n: 64\nt_end: 0.05\ninit: custom-file\npath: {path}\n")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "configuration error" in capsys.readouterr().err
-        with pytest.raises(ConfigError, match="frame"):
+        with pytest.raises(ConfigError, match=message):
             generate_initial(InitialSpec(kind="custom-file", n=64, path=str(path)))
 
     def test_custom_file_frame_out_of_range(self, tmp_path):
@@ -469,6 +499,20 @@ class TestMainEntry:
         assert len(json.loads((again / "snapshots.json").read_text())["frames"]) == 3
         assert (again / "verify.json").exists()
 
+    def test_verify_of_a_one_step_run_asks_for_a_longer_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # t_end is below one step's dt, so no cadence records a third snapshot
+        monkeypatch.setattr("hexaflow.verify.PSW_SAMPLES", 1)
+        path = tmp_path / "one.yaml"
+        path.write_text("n: 32\nt_end: 0.0001\ninit: cosine-graph\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert json.loads((out / "snapshots.json").read_text())["meta"]["steps"] == 1
+        err = capsys.readouterr().err
+        assert "the run recorded 2 in 1 steps" in err
+        assert "that takes a run of at least 2 steps" in err
+        assert not (out / "verify.json").exists()
+
     def test_psw_subcommand(self, tmp_path, capsys):
         out = tmp_path / "psw"
         assert main(["psw", "--seed", "1", "--out", str(out)]) == 0
@@ -477,14 +521,15 @@ class TestMainEntry:
         assert all(rep["passed"] for rep in doc["reports"])
         assert "PASS" in capsys.readouterr().out
 
-    def test_sweep_creates_cell_directories(self, tmp_path):
+    def test_sweep_creates_cell_directories(self, tmp_path, capsys):
         path = tmp_path / "sweep.yaml"
         path.write_text("n: [32, 48]\nt_end: 0.002\ninit: cosine-graph\n")
         out = tmp_path / "cells"
-        assert main(["sweep", "--config", str(path), "--out", str(out),
-                     "--quiet"]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
         for name in ("A0.05_m1_n32", "A0.05_m1_n48"):
             assert (out / name / "diagnostics.csv").exists()
+            assert f"cell {name}: termination=t_end -> {out / name}" in lines
 
     def test_sweep_matches_serial_cells(self, tmp_path):
         path = tmp_path / "sweep.yaml"
@@ -743,8 +788,8 @@ class TestMainEntry:
 
     def test_verify_measures_each_snapshot_once(self, tmp_path, monkeypatch):
         # the four identity checks and both boundary reports share one profile
-        # per snapshot; the run measures only its initial curve, since its
-        # records read the geometry its steps built
+        # per snapshot; the run measures no curve of its own, since every
+        # record, the first one included, reads a row of its geometry stack
         measured = {"cli": 0, "flow": 0, "verify": 0}
         for module in measured:
             real = getattr(hexaflow, module).compute_geometry
@@ -760,7 +805,7 @@ class TestMainEntry:
                      "--out", str(out), "--quiet"]) == 0
         frames = json.loads((out / "snapshots.json").read_text())["frames"]
         assert len(frames) >= 3
-        assert measured == {"cli": 1, "flow": 1, "verify": len(frames)}
+        assert measured == {"cli": 1, "flow": 0, "verify": len(frames)}
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

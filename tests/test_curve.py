@@ -66,6 +66,10 @@ class TestCurveValidation:
         with pytest.raises(ValueError, match="nodes"):
             DiscreteCurve(pts, -1.0, 1.0)
 
+    def test_points_must_have_two_columns(self):
+        with pytest.raises(ValueError, match=r"must have shape \(n\+1, 2\), got \(17, 3\)"):
+            DiscreteCurve(np.zeros((17, 3)), -1.0, 1.0)
+
     def test_endpoint_off_line(self):
         pts = np.column_stack([np.linspace(-1.0, 1.0, 33), np.zeros(33)])
         pts[0, 0] = -0.999
@@ -228,6 +232,10 @@ class TestQuadrature:
             cosine_profile.length, rel=1e-15
         )
 
+    def test_rejects_field_of_wrong_length(self, cosine_profile):
+        with pytest.raises(ValueError, match="does not match node count"):
+            integrate(np.ones(cosine_profile.k.size - 1), cosine_profile)
+
     def test_linearity(self, cosine_profile):
         f = cosine_profile.k
         g = cosine_profile.k_s
@@ -305,6 +313,13 @@ class TestResample:
                             epsabs=1e-12, epsrel=1e-12)
             total += piece
         assert arc_length(pts) == pytest.approx(total, rel=1e-10)
+
+    def test_repeated_node_is_named(self):
+        pts = np.column_stack([np.linspace(-1.0, 1.0, 33), np.zeros(33)])
+        pts[6] = pts[5]
+        with pytest.raises(DegenerateCurveError, match="nodes 5 and 6 coincide") as err:
+            resample_uniform(DiscreteCurve(pts, -1.0, 1.0), 32)
+        assert err.value.index == 5
 
     def test_rejects_tiny_target(self, cosine_curve):
         with pytest.raises(ValueError):

@@ -173,6 +173,11 @@ class TestFitDecayRate:
         with pytest.raises(ValueError, match="index 3"):
             fit_decay_rate(t, v)
 
+    def test_rejects_unequal_lengths(self):
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="equal length"):
+            fit_decay_rate(t, np.exp(-t[:-1]))
+
     def test_rejects_strided_window(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="stride"):

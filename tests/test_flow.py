@@ -11,10 +11,12 @@ import pytest
 from scipy.linalg import solve_banded
 
 from hexaflow import (
+    DegenerateCurveError,
     DiscreteCurve,
     FlowConfig,
     GeometryProfile,
     InitialSpec,
+    SpacingError,
     compute_geometry,
     generate_initial,
     integrate,
@@ -626,6 +628,51 @@ def test_records_read_from_the_step_equal_a_recompute(case, ensemble_members, en
             want = make_record(snap.time, profile, normal_speed(profile), length_ref)
             for f in fields(want):
                 assert getattr(snap.record, f.name) == getattr(want, f.name), (snap.time, f.name)
+
+
+def _uneven(curve: DiscreteCurve) -> DiscreteCurve:
+    """The curve with node 10 moved along its chord: spacing off uniform at the same n."""
+    points = curve.points.copy()
+    points[10] += 0.3 * (points[11] - points[10])
+    return DiscreteCurve(points)
+
+
+def _coincident(curve: DiscreteCurve) -> DiscreteCurve:
+    """The curve with node 11 moved onto node 10."""
+    points = curve.points.copy()
+    points[11] = points[10]
+    return DiscreteCurve(points)
+
+
+@pytest.mark.parametrize("spoil, error", [(_uneven, SpacingError),
+                                          (_coincident, DegenerateCurveError)],
+                         ids=["uneven", "coincident"])
+def test_rejected_initial_rows_raise_the_errors_of_compute_geometry(spoil, error,
+                                                                    ensemble_members):
+    # The run measures its initial curves as rows of one stack; a row the
+    # stack rejects raises the typed error and message `compute_geometry`
+    # gives for that curve, alone or as a later member of an ensemble.
+    bad = spoil(ensemble_members[0])
+    assert bad.n == ENSEMBLE_CONFIG.n
+    with pytest.raises(error) as want:
+        compute_geometry(bad)
+    for run in (lambda: run_flow(ENSEMBLE_CONFIG, bad),
+                lambda: run_ensemble(ENSEMBLE_CONFIG, [ensemble_members[1], bad])):
+        with pytest.raises(error) as got:
+            run()
+        assert str(got.value) == str(want.value)
+        assert vars(got.value) == vars(want.value)
+
+
+def test_valid_runs_never_call_compute_geometry(ensemble_members, monkeypatch):
+    # every record, the first one included, reads a row of the run's geometry stack
+    def refuse(curve):
+        raise AssertionError("a valid run measured a curve on its own")
+
+    monkeypatch.setattr("hexaflow.flow.compute_geometry", refuse)
+    assert run_flow(ENSEMBLE_CONFIG, ensemble_members[3]).metadata["termination"] == "t_end"
+    runs = run_ensemble(ENSEMBLE_CONFIG, ensemble_members)
+    assert [run.metadata["termination"] for run in runs] == ["t_end"] * len(runs)
 
 
 def _linearised_errors(tmp_path, half: float, m: int, t_end: float,

@@ -218,6 +218,14 @@ class TestPoincareChecks:
         with pytest.raises(ValueError):
             check_psw(np.cos(math.pi * s), 1.0, mode="dirichlet")
 
+    def test_rejects_short_sample(self):
+        with pytest.raises(ValueError, match="at least 9 points"):
+            check_psw(np.zeros(5), 1.0, mode="mean-zero")
+
+    def test_rejects_nonpositive_length(self):
+        with pytest.raises(ValueError, match="length must be positive, got 0.0"):
+            check_psw(np.zeros(101), 0.0, mode="mean-zero")
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             check_psw(np.zeros(101), 1.0, mode="periodic")
